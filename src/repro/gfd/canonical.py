@@ -25,7 +25,7 @@ from ..errors import GFDError
 from ..eq.eqrelation import EqRelation, Term
 from ..graph.elements import NodeId
 from ..graph.graph import PropertyGraph
-from .gfd import GFD
+from .gfd import GFD, gfds_by_name
 from .literals import ConstantLiteral, FalseLiteral, VariableLiteral
 
 
@@ -74,12 +74,9 @@ def build_canonical_graph(sigma: Sequence[GFD]) -> CanonicalGraph:
     """
     graph = PropertyGraph()
     embeddings: Dict[str, Dict[str, NodeId]] = {}
-    gfds: Dict[str, GFD] = {}
+    gfds = gfds_by_name(sigma)
     roots: List[NodeId] = []
-    for gfd in sigma:
-        if gfd.name in gfds:
-            raise GFDError(f"duplicate GFD name {gfd.name!r} in Σ")
-        gfds[gfd.name] = gfd
+    for gfd in gfds.values():
         mapping: Dict[str, NodeId] = {}
         for var in gfd.pattern.variables:
             node_id = canonical_node_id(gfd.name, var)

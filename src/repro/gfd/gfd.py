@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import FrozenSet, Iterable, List, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
+from ..errors import GFDError
 from .literals import (
     ConstantLiteral,
     FalseLiteral,
@@ -127,6 +128,21 @@ def make_gfd(
 def sigma_size(sigma: Sequence[GFD]) -> int:
     """|Σ| measured as the sum of GFD sizes (paper's size measure)."""
     return sum(gfd.size() for gfd in sigma)
+
+
+def gfds_by_name(sigma: Iterable[GFD]) -> Dict[str, GFD]:
+    """Index Σ by rule name, in Σ order.
+
+    Names key canonical embeddings, enforcement, provenance and the
+    dependency graphs, so a second rule under a taken name would be
+    dropped without a word; it raises :class:`GFDError` instead.
+    """
+    by_name: Dict[str, GFD] = {}
+    for gfd in sigma:
+        if gfd.name in by_name:
+            raise GFDError(f"duplicate GFD name {gfd.name!r} in Σ")
+        by_name[gfd.name] = gfd
+    return by_name
 
 
 def validate_sigma(sigma: Sequence[GFD]) -> List[str]:

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 from ..eq.eqrelation import Conflict, EqRelation
 from ..gfd.canonical import build_implication_canonical
-from ..gfd.gfd import GFD
+from ..gfd.gfd import GFD, gfds_by_name
 from ..reasoning.enforce import EnforcementEngine, consequent_entailed
 from ..reasoning.seqimp import _subsumed_by_eqx
 from ..reasoning.workunits import (
@@ -86,10 +86,12 @@ def par_imp(
     """Decide ``Σ |= φ`` with ``p = config.workers`` workers.
 
     *backend* (or its legacy alias *runtime*) selects ``'simulated'``
-    (default), ``'threaded'``, or ``'process'``.
+    (default), ``'threaded'``, or ``'process'``. Raises
+    :class:`~repro.errors.GFDError` when two rules of Σ share a name.
     """
     config = config or RuntimeConfig()
     backend_name = resolve_backend_name(backend, runtime)
+    by_name = gfds_by_name(sigma)
     canonical = build_implication_canonical(phi)
     eq = canonical.fresh_eq()
     identity = canonical.identity_match()
@@ -102,7 +104,6 @@ def par_imp(
     if consequent_entailed(eq, phi, identity):
         return ParImpResult(True, "derived", None, empty_outcome, eq)
 
-    gfds_by_name = {gfd.name: gfd for gfd in sigma}
     if config.use_ruleset_plan:
         units = generate_grouped_work_units(
             sigma,
@@ -121,7 +122,7 @@ def par_imp(
         subsumed = {gfd.name for gfd in sigma if _subsumed_by_eqx(gfd, canonical)}
         units = order_units(
             units,
-            gfds_by_name,
+            by_name,
             canonical.graph,
             high_priority=lambda unit: any(
                 name in subsumed for name in unit.gfd_names
@@ -129,7 +130,7 @@ def par_imp(
         )
     context = UnitContext(
         canonical.graph,
-        gfds_by_name,
+        by_name,
         use_simulation_pruning=config.use_simulation_pruning,
         use_bitsets=config.use_bitsets,
     )
@@ -142,7 +143,7 @@ def par_imp(
     if config.fragments is not None:
         attach_fragmentation(context, sigma, config.fragments)
     engine = EnforcementEngine(
-        eq, gfds_by_name, capture_provenance=config.capture_provenance
+        eq, by_name, capture_provenance=config.capture_provenance
     )
 
     # The goal ``Y ⊆ Eq_H`` as a picklable value object, so the process

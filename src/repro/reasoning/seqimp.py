@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 from ..eq.eqrelation import Conflict, EqRelation
 from ..eq.inverted_index import InvertedIndex
 from ..gfd.canonical import ImplicationCanonical, build_implication_canonical
-from ..gfd.gfd import GFD
+from ..gfd.gfd import GFD, gfds_by_name
 from ..matching.homomorphism import MatcherRun
 from ..matching.plan import get_plan
 from ..matching.simulation import simulation_candidates
@@ -118,10 +118,14 @@ def seq_imp(
     shared-prefix trie walk over ``G^X_Q`` instead of the per-rule loop
     (the ablation/oracle); the conflict/derivation checks fire after every
     enforcement exactly as in the per-rule path, and the verdict is
-    order-independent (monotone ``Eq``, Church-Rosser).
+    order-independent (monotone ``Eq``, Church-Rosser). Raises
+    :class:`~repro.errors.GFDError` when two rules of Σ share a name.
     """
     started = time.perf_counter()
     stats = ImpStats(sigma_size=len(sigma))
+    # Names key enforcement and ordering: a duplicate would drop a rule and
+    # could turn a true implication false, so it is rejected up front.
+    by_name = gfds_by_name(sigma)
     canonical = build_implication_canonical(phi)
     eq = canonical.fresh_eq()
     identity = canonical.identity_match()
@@ -136,9 +140,8 @@ def seq_imp(
         stats.wall_seconds = time.perf_counter() - started
         return ImpResult(True, "derived", None, eq, stats)
 
-    gfds_by_name = {gfd.name: gfd for gfd in sigma}
     engine = EnforcementEngine(
-        eq, gfds_by_name, InvertedIndex(), capture_provenance=capture_provenance
+        eq, by_name, InvertedIndex(), capture_provenance=capture_provenance
     )
     engine.set_evidence_context(
         origin="seq", plan="ruleset" if use_ruleset_plan else "per-rule"
@@ -163,7 +166,7 @@ def seq_imp(
         run = ruleset.run()
         for name, assignment in run.matches():
             stats.matches += 1
-            changed = engine.enforce(gfds_by_name[name], assignment)
+            changed = engine.enforce(by_name[name], assignment)
             if eq.has_conflict():
                 stats.match_ticks += run.ticks
                 stats.enforcement = engine.stats

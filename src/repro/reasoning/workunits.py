@@ -20,9 +20,9 @@ from __future__ import annotations
 import hashlib
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
 
-from ..gfd.gfd import GFD
+from ..gfd.gfd import GFD, gfds_by_name
 from ..graph.elements import NodeId, is_wildcard
 from ..graph.graph import PropertyGraph
 from ..graph.neighborhood import bfs_hops
@@ -325,22 +325,42 @@ def generate_grouped_work_units(
 # ----------------------------------------------------------------------
 # Dependency graphs
 # ----------------------------------------------------------------------
-def _attribute_feeds(producer: GFD, consumer: GFD) -> bool:
-    """True when an attribute name in ``Y_producer`` occurs in ``X_consumer``."""
-    return bool(producer.consequent_attributes() & consumer.antecedent_attributes())
+def _rule_attributes(
+    sigma_by_name: Mapping[str, GFD],
+) -> Dict[str, Tuple[FrozenSet[str], FrozenSet[str]]]:
+    """Each rule's (antecedent, consequent) attribute names.
+
+    Computed once per ordering call (2·|Σ| set builds), never per tested
+    pair, and kept here rather than on the GFD so a rule's equality, hash,
+    repr and pickle stay exactly its fields.
+    """
+    return {
+        name: (gfd.antecedent_attributes(), gfd.consequent_attributes())
+        for name, gfd in sigma_by_name.items()
+    }
 
 
 def gfd_dependency_edges(sigma: Sequence[GFD]) -> Dict[str, Set[str]]:
-    """GFD-level dependency edges name -> set of dependent names."""
-    edges: Dict[str, Set[str]] = {gfd.name: set() for gfd in sigma}
-    for producer in sigma:
-        if not producer.consequent_attributes():
-            continue
-        for consumer in sigma:
-            if consumer.name == producer.name:
-                continue
-            if _attribute_feeds(producer, consumer):
-                edges[producer.name].add(consumer.name)
+    """GFD-level dependency edges name -> set of dependent names.
+
+    ``φ1 -> φ2`` when an attribute name of ``Y1`` occurs in ``X2``. Each
+    producer looks its consequent attributes up in an attribute ->
+    consumers index, so the cost is |Σ| plus the (attribute, consumer)
+    hits instead of |Σ|² pair tests. Raises :class:`GFDError` on
+    duplicate names, which would merge two rules' edges.
+    """
+    attributes = _rule_attributes(gfds_by_name(sigma))
+    consumers: Dict[str, List[str]] = defaultdict(list)
+    for name, (consumed, _) in attributes.items():
+        for attr in consumed:
+            consumers[attr].append(name)
+    edges: Dict[str, Set[str]] = {}
+    for name, (_, produced) in attributes.items():
+        targets: Set[str] = set()
+        for attr in produced:
+            targets.update(consumers.get(attr, ()))
+        targets.discard(name)
+        edges[name] = targets
     return edges
 
 
@@ -349,9 +369,10 @@ def gfd_dependency_order(sigma: Sequence[GFD]) -> List[GFD]:
 
     Empty-antecedent GFDs first (they seed the initial attribute batch,
     paper Section IV-C(a)), then a topological order of the attribute-feed
-    graph with deterministic cycle breaking.
+    graph with deterministic cycle breaking. Raises :class:`GFDError` on
+    duplicate names rather than silently ordering only one of the rules.
     """
-    by_name = {gfd.name: gfd for gfd in sigma}
+    by_name = gfds_by_name(sigma)
     edges = gfd_dependency_edges(sigma)
     order_names = _topological_order(
         list(by_name),
@@ -369,53 +390,57 @@ def unit_dependency_edges(
     """Unit-level dependency edges (indices into *units*).
 
     ``w1 -> w2`` when (a) attrs(Y1) ∩ attrs(X2) ≠ ∅ and (b) pivot(w2) lies
-    within ``d_{Q1}`` hops of pivot(w1). Distances are computed per BFS from
-    each distinct pivot — cheap because canonical-graph components are tiny.
-    Grouped units take the union over their members on both sides of the
-    attribute test (any member may produce or consume).
+    within ``d_{Q1}`` hops of pivot(w1). Grouped units take the union over
+    their members on both sides of the attribute test (any member may
+    produce or consume); units without a pivot node take no part. Only
+    units with at least one dependent get a key.
+
+    Consumers are bucketed by (attribute, pivot node), so a producer sees
+    only the units that consume what it produces. A producer with no
+    consumer runs no BFS; the others run one BFS per distinct (pivot,
+    radius), cached, and look each node of that reach up in the buckets of
+    the attributes they produce, so the scan costs no more than the BFS
+    per produced attribute.
     """
-    edges: Dict[int, Set[int]] = defaultdict(set)
-    # Group unit indices by pivot node for distance reuse.
-    by_pivot: Dict[NodeId, List[int]] = defaultdict(list)
+    rule_attrs = _rule_attributes(sigma_by_name)
+    group_attrs: Dict[Tuple[str, ...], Tuple[FrozenSet[str], FrozenSet[str]]] = {}
+    # attribute -> pivot node -> indices of the units consuming it there.
+    consumers: Dict[str, Dict[NodeId, List[int]]] = {}
+    producers: List[Tuple[int, NodeId, int, FrozenSet[str]]] = []
     for index, unit in enumerate(units):
-        pivot = unit.pivot_node()
-        if pivot is not None:
-            by_pivot[pivot].append(index)
-
-    def produced_attrs(unit: WorkUnit) -> Set[str]:
-        attrs: Set[str] = set()
-        for name in unit.gfd_names:
-            attrs |= sigma_by_name[name].consequent_attributes()
-        return attrs
-
-    def consumed_attrs(unit: WorkUnit) -> Set[str]:
-        attrs: Set[str] = set()
-        for name in unit.gfd_names:
-            attrs |= sigma_by_name[name].antecedent_attributes()
-        return attrs
-
-    hop_cache: Dict[Tuple[NodeId, int], Dict[NodeId, int]] = {}
-    for index, unit in enumerate(units):
-        produced = produced_attrs(unit)
-        if not produced:
-            continue
         pivot = unit.pivot_node()
         if pivot is None:
             continue
-        radius = unit.radius if unit.radius is not None else graph.num_nodes
-        cache_key = (pivot, radius)
-        if cache_key not in hop_cache:
-            hop_cache[cache_key] = bfs_hops(graph, pivot, max_hops=radius)
-        reachable = hop_cache[cache_key]
-        for other_pivot, other_indices in by_pivot.items():
-            if other_pivot not in reachable:
-                continue
-            for other_index in other_indices:
-                if other_index == index:
-                    continue
-                if produced & consumed_attrs(units[other_index]):
-                    edges[index].add(other_index)
-    return dict(edges)
+        names = unit.gfd_names
+        if names not in group_attrs:
+            group_attrs[names] = (
+                frozenset().union(*(rule_attrs[name][0] for name in names)),
+                frozenset().union(*(rule_attrs[name][1] for name in names)),
+            )
+        consumed, produced = group_attrs[names]
+        for attr in consumed:
+            consumers.setdefault(attr, {}).setdefault(pivot, []).append(index)
+        if produced:
+            radius = unit.radius if unit.radius is not None else graph.num_nodes
+            producers.append((index, pivot, radius, produced))
+
+    edges: Dict[int, Set[int]] = {}
+    hop_cache: Dict[Tuple[NodeId, int], Dict[NodeId, int]] = {}
+    for index, pivot, radius, produced in producers:
+        buckets = [consumers[attr] for attr in produced if attr in consumers]
+        if not buckets:
+            continue
+        if (pivot, radius) not in hop_cache:
+            hop_cache[pivot, radius] = bfs_hops(graph, pivot, max_hops=radius)
+        reachable = hop_cache[pivot, radius]
+        targets: Set[int] = set()
+        for bucket in buckets:
+            for node in reachable:
+                targets.update(bucket.get(node, ()))
+        targets.discard(index)
+        if targets:
+            edges[index] = targets
+    return edges
 
 
 def order_units(
@@ -435,12 +460,9 @@ def order_units(
         high_priority = lambda unit: any(
             sigma_by_name[name].has_empty_antecedent() for name in unit.gfd_names
         )
-    edges = unit_dependency_edges(units, sigma_by_name, graph)
-    indices = list(range(len(units)))
-    edge_map = {i: set(edges.get(i, ())) for i in indices}
     order = _topological_order(
-        indices,
-        edge_map,
+        list(range(len(units))),
+        unit_dependency_edges(units, sigma_by_name, graph),
         priority=lambda i: (not high_priority(units[i]), units[i].gfd_name, str(units[i].assignment)),
     )
     return [units[i] for i in order]

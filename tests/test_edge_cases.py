@@ -1,5 +1,7 @@
 """Edge-case and failure-injection tests across the stack."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro import PropertyGraph, parse_gfds, seq_imp, seq_sat
@@ -8,6 +10,7 @@ from repro.gfd import make_gfd, make_pattern
 from repro.gfd.literals import eq as lit_eq
 from repro.matching.homomorphism import MatcherRun, find_homomorphisms
 from repro.parallel import RuntimeConfig, par_imp, par_sat
+from repro.reasoning.workunits import gfd_dependency_order
 
 
 class TestEmptyInputs:
@@ -129,6 +132,34 @@ class TestDuplicateNamesAndValidation:
         )
         with pytest.raises(GFDError):
             par_sat(sigma, RuntimeConfig(workers=2))
+
+    def test_duplicate_names_rejected_in_implication(self):
+        """An unrelated rule sharing a name must not hide the one that
+        implies φ: implication is monotone in Σ, so the answer would be
+        wrong, and the rule order would decide it."""
+        sigma = parse_gfds(
+            """
+            gfd r {
+              x: person; y: city;
+              x -[lives_in]-> y;
+              then x.country = y.country;
+            }
+            """
+        ) + parse_gfds("gfd r { x: car; then x.wheels = 4; }")
+        phi = sigma[0]
+        with pytest.raises(GFDError):
+            seq_imp(sigma, phi)
+        with pytest.raises(GFDError):
+            seq_imp(sigma, phi, use_dependency_order=False)
+        with pytest.raises(GFDError):
+            par_imp(sigma, phi, RuntimeConfig(workers=2))
+        with pytest.raises(GFDError):
+            gfd_dependency_order(sigma)
+        # Under distinct names the same Σ implies φ on every path.
+        renamed = [sigma[0], replace(sigma[1], name="r2")]
+        assert seq_imp(renamed, phi).implied
+        assert seq_imp(renamed, phi, use_dependency_order=False).implied
+        assert par_imp(renamed, phi, RuntimeConfig(workers=2)).implied
 
     def test_trivial_gfds_are_harmless(self):
         sigma = parse_gfds(

@@ -45,7 +45,7 @@ ADD_ARGUMENT_RE = re.compile(r"add_argument\(\s*['\"](--[\w-]+)")
 DOC_GLOBS = ("*.md", "docs/**/*.md")
 
 #: Scripts whose ad-hoc argparse flags count toward the flag universe.
-SCRIPT_GLOBS = ("benchmarks/*.py", "tools/*.py")
+SCRIPT_GLOBS = ("benchmarks/*.py", "benchmarks/suite/*.py", "tools/*.py")
 
 SKIP_PREFIXES = ("http://", "https://", "mailto:", "#")
 
