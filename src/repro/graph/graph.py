@@ -143,11 +143,22 @@ class PropertyGraph:
         return edge
 
     def set_attr(self, node_id: NodeId, name: str, value: AttrValue) -> None:
-        """Set attribute *name* of node *node_id* to *value*.
+        """Set attribute *name* of node *node_id* to *value*, in place.
 
         Attribute updates are not journaled and do not age the compiled
-        index — it stores topology and labels only.
+        index — it stores topology and labels only. Because they are not
+        journaled, they cannot reach replicas fed from the delta history or
+        snapshots rebuilt by replay: on a graph that retains deltas
+        (:meth:`retain_deltas`) or holds pinned versions
+        (:meth:`pin_version`) the write would silently diverge, so it
+        raises :class:`GraphError` instead. Plain graphs are unaffected.
         """
+        if self._retain_deltas or self._pinned_versions:
+            raise GraphError(
+                f"cannot set attribute {name!r} of node {node_id!r}: attribute "
+                "updates are not journaled, so replicas and pinned read views "
+                "of a graph that retains deltas or holds pins would miss it"
+            )
         self.node(node_id).attrs[name] = value
 
     def set_node_label(self, node_id: NodeId, label: str) -> None:

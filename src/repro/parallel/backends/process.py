@@ -387,10 +387,9 @@ def _handle_batch(
             time.sleep(event.stall_seconds)
     eq.apply_delta(ops)
     mark = eq.log_position()
-    # Evidence produced from here on — by the replay-triggered cascade as
-    # well as unit execution — ships back with the reply; the coordinator
-    # interns it by stable ref (idempotent with per-UnitResult evidence).
-    evidence_mark = engine.evidence.position()
+    # Evidence noted from here on — by the replay-triggered cascade as well
+    # as unit execution — ships back raw, as one payload per reply.
+    evidence_mark = engine.evidence.mark()
     engine.set_evidence_context(origin="cascade")
     engine.cascade()
     results = []
@@ -430,11 +429,11 @@ def _handle_batch(
                     goal_reached = goal_reached or result.goal_reached
                     break
     new_ops = eq.delta_since(mark)
-    new_evidence = engine.evidence.delta_since(evidence_mark)
+    evidence = engine.evidence.export_since(evidence_mark)
     busy = time.perf_counter() - started
     return (
         "done", results, new_ops, eq.conflict, goal_reached, busy, failures,
-        new_evidence,
+        evidence,
     )
 
 
@@ -1259,13 +1258,13 @@ class ProcessBackend(Backend):
                     f"process worker {worker_id} failed: {reply[1]}",
                 )
                 return terminated
-            _, results, new_ops, conflict, goal_reached, busy, failures = reply[:7]
-            # Evidence interned worker-side since the batch started (unit
-            # execution plus replay-triggered cascades). Merged by stable
-            # content-derived ref, so double delivery — here and inside a
-            # retried unit's result — is a no-op.
-            if len(reply) > 7:
-                engine.evidence.merge(reply[7])
+            _, results, new_ops, conflict, goal_reached, busy, failures, evidence = reply
+            # The raw evidence the worker noted during the batch (unit
+            # execution plus replay-triggered cascades), queued unopened:
+            # it is digested and interned by stable ref only if the run's
+            # evidence is read. A retried unit's re-shipped matches then
+            # intern to the records already there.
+            engine.evidence.absorb(evidence)
             batch = in_flight.pop(worker_id, [])
             dispatched = {unit.uid: unit for unit in batch}
             if worker_id not in idle:

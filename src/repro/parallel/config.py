@@ -189,13 +189,13 @@ class RuntimeConfig:
         batch_index)`` plus poisoned units, honored by all three
         backends. ``None`` (default) injects nothing.
     capture_provenance:
-        Layered result model: engines intern
-        :class:`~repro.results.evidence.MatchEvidence` records for every
-        enforced match and stamp structured
-        :class:`~repro.eq.eqrelation.Provenance` on ΔEq ops, shipped in
-        ``UnitResult``s and merged coordinator-side with stable
-        cross-worker refs. ``True`` (default) enables post-run
-        explanations; ``False`` is the overhead ablation.
+        Layered result model: engines note every enforced match as
+        :class:`~repro.results.evidence.MatchEvidence` and stamp
+        structured :class:`~repro.eq.eqrelation.Provenance` on ΔEq ops.
+        Process workers ship their raw notes once per batch reply; the
+        coordinator interns them under stable cross-worker refs on first
+        read. ``True`` (default) enables post-run explanations;
+        ``False`` is the overhead ablation.
     fragments:
         Fragmented execution (the paper's fragment-parallel model): the
         canonical graph is edge-cut into this many

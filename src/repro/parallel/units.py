@@ -450,10 +450,9 @@ def attach_fragmentation(context: UnitContext, sigma, num_fragments: int):
 class UnitResult:
     """What happened while executing one work unit.
 
-    *evidence* carries the :class:`~repro.results.evidence.MatchEvidence`
-    records this unit's enforcements interned (empty when provenance
-    capture is off) — the per-unit evidence delta the coordinator merges
-    into the master engine's log, dedup'd by stable ref.
+    Counts and control flow only: the unit's evidence stays in the
+    executing engine's log (a process worker ships it once per batch
+    reply, not per unit).
     """
 
     unit: WorkUnit
@@ -465,7 +464,6 @@ class UnitResult:
     goal_reached: bool = False
     splits: List[WorkUnit] = field(default_factory=list)
     completed: bool = True
-    evidence: List[object] = field(default_factory=list)
 
     @property
     def terminated_early(self) -> bool:
@@ -533,7 +531,6 @@ def execute_unit(
     )
     ops_before = engine.ops
     delta_mark = eq.log_position()
-    evidence_mark = engine.evidence.position()
     next_split_at = ttl_ticks if ttl_ticks is not None else None
     for match in run.matches():
         result.matches += 1
@@ -561,7 +558,6 @@ def execute_unit(
     result.match_ticks = run.ticks
     result.enforce_ops = engine.ops - ops_before
     result.delta_ops = eq.log_position() - delta_mark
-    result.evidence = engine.evidence.delta_since(evidence_mark)
     return result
 
 
@@ -607,7 +603,6 @@ def _execute_grouped_unit(
     )
     ops_before = engine.ops
     delta_mark = eq.log_position()
-    evidence_mark = engine.evidence.position()
     for name, match in run.matches():
         result.matches += 1
         engine.enforce(context.gfds[name], match)
@@ -634,5 +629,4 @@ def _execute_grouped_unit(
     result.match_ticks = run.ticks
     result.enforce_ops = engine.ops - ops_before
     result.delta_ops = eq.log_position() - delta_mark
-    result.evidence = engine.evidence.delta_since(evidence_mark)
     return result

@@ -15,22 +15,30 @@ the record but deliberately excluded from the ref: two workers finding
 the same match through different routes still intern to one record.
 
 :class:`EvidenceLog` is the interning container: append-only, dedup by
-ref (first record wins), with the same ``position()``/``delta_since()``
-mark-and-slice shape as ``EqRelation``'s delta log so the parallel tier
-can ship only the evidence produced since the last sync round.
+ref (first record wins), and lazy on both sides of a process boundary.
+Producers append raw notes. A process worker takes a
+:meth:`~EvidenceLog.mark` before each batch and replies with
+:meth:`~EvidenceLog.export_since` — one pickled payload of the raw notes
+captured after it — which the coordinator queues unopened with
+:meth:`~EvidenceLog.absorb`. Digests and records are built only when
+someone reads the log.
 """
 
 from __future__ import annotations
 
+import pickle
 import threading
 from dataclasses import dataclass, field
 from hashlib import blake2s
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 from ..graph.elements import NodeId
 
 #: (variable, node) pairs sorted by variable — the canonical assignment form.
 AssignmentItems = Tuple[Tuple[str, NodeId], ...]
+
+#: One raw capture: ``(gfd, assignment, producer context)``.
+_Note = Tuple[str, Dict[str, NodeId], Dict[str, object]]
 
 
 def ref_of_items(gfd: str, items: AssignmentItems) -> str:
@@ -115,28 +123,30 @@ class EvidenceLog:
     """Append-only, ref-interned store of :class:`MatchEvidence` records.
 
     Interning is first-wins: re-recording a match already present (a
-    second worker finding it, a reply shipping it twice, a cascade
-    re-check) is a no-op, which makes merging shipped evidence
-    idempotent. The ordered list + ``position()``/``delta_since()`` give
-    the parallel tier the same mark-and-slice protocol the ΔEq log uses.
+    second worker finding it, a retried unit shipping it again, a cascade
+    re-check) is a no-op, which makes absorbing shipped evidence
+    idempotent.
 
     Capture is lazy: the hot path appends raw ``(gfd, assignment,
     context)`` triples via :meth:`note`, and sorting/digesting/record
-    construction run on first read (:meth:`_flush`). A sequential run
-    therefore pays only a list append per enforced match; the
-    materialization cost lands on whoever queries the layer.
+    construction run on first read (:meth:`_flush`). The same holds
+    across processes: :meth:`export_since` pickles raw notes, and
+    :meth:`absorb` queues the payload next to local notes, in arrival
+    order, to be opened by that same first read. A run whose evidence is
+    never queried never pays for it, on any backend.
     """
 
     _records: List[MatchEvidence] = field(default_factory=list)
     _by_ref: Dict[str, MatchEvidence] = field(default_factory=dict)
-    #: Raw ``(gfd, assignment, context)`` triples noted on the hot path and
-    #: not yet materialized into records.
-    _pending: List[Tuple[str, Dict[str, NodeId], Dict[str, object]]] = field(
-        default_factory=list
-    )
+    #: Raw entries not yet materialized, in arrival order: notes taken on
+    #: the hot path and ``bytes`` payloads absorbed from other logs.
+    _pending: List[Union[_Note, bytes]] = field(default_factory=list)
+    #: Pending entries materialized so far. A mark is this count plus the
+    #: pending length, so flushing entries before a mark keeps it valid.
+    _flushed: int = 0
     #: Guards materialization: the threaded backend shares one log across
-    #: workers, and readers (``position``/``delta_since``) flush outside
-    #: the engine lock. ``note`` stays lock-free (list.append is atomic).
+    #: workers, and readers flush outside the engine lock. ``note`` stays
+    #: lock-free (list.append is atomic).
     _lock: threading.RLock = field(default_factory=threading.RLock, repr=False)
 
     def __getstate__(self) -> Dict[str, object]:
@@ -167,20 +177,60 @@ class EvidenceLog:
         """
         self._pending.append((gfd, assignment, context))
 
+    def mark(self) -> int:
+        """A mark over the raw entries, for :meth:`export_since`.
+
+        Unlike a read, taking a mark materializes nothing.
+        """
+        return self._flushed + len(self._pending)
+
+    def export_since(self, mark: int) -> bytes:
+        """Pickle the raw entries captured after *mark* into one payload.
+
+        Nothing is sorted, digested or built here: the payload is meant
+        for another log's :meth:`absorb`, which defers all of that to its
+        own first read. Raises :class:`ValueError` when a read has
+        materialized entries past *mark* — they are no longer raw.
+        """
+        start = mark - self._flushed
+        if start < 0:
+            raise ValueError(
+                f"evidence past mark {mark} was already materialized "
+                f"({self._flushed} entries read)"
+            )
+        return pickle.dumps(self._pending[start:], protocol=pickle.HIGHEST_PROTOCOL)
+
+    def absorb(self, payload: bytes) -> None:
+        """Queue an :meth:`export_since` *payload* unopened.
+
+        It is decoded and interned first-wins, in arrival order with the
+        local notes around it, on the next read.
+        """
+        self._pending.append(payload)
+
     def _flush(self) -> None:
-        """Materialize pending notes, first-wins, in capture order."""
+        """Materialize pending entries, first-wins, in arrival order."""
         if not self._pending:
             return
         with self._lock:
             pending, self._pending = self._pending, []
-            for gfd, assignment, context in pending:
-                items = tuple(sorted(assignment.items()))
-                ref = ref_of_items(gfd, items)
-                if ref in self._by_ref:
-                    continue
-                record = MatchEvidence(ref, gfd, items, **context)
-                self._records.append(record)
-                self._by_ref[ref] = record
+            self._flushed += len(pending)
+            self._intern_raw(pending)
+
+    def _intern_raw(self, entries: List[Union[_Note, bytes]]) -> None:
+        by_ref = self._by_ref
+        for entry in entries:
+            if isinstance(entry, bytes):
+                self._intern_raw(pickle.loads(entry))
+                continue
+            gfd, assignment, context = entry
+            items = tuple(sorted(assignment.items()))
+            ref = ref_of_items(gfd, items)
+            if ref in by_ref:
+                continue
+            record = MatchEvidence(ref, gfd, items, **context)
+            self._records.append(record)
+            by_ref[ref] = record
 
     def intern(self, record: MatchEvidence) -> MatchEvidence:
         """Add *record* unless its ref is known; return the canonical one."""
@@ -212,31 +262,6 @@ class EvidenceLog:
     def refs(self) -> List[str]:
         self._flush()
         return [record.ref for record in self._records]
-
-    def position(self) -> int:
-        """Current length (a mark for :meth:`delta_since`)."""
-        self._flush()
-        return len(self._records)
-
-    def delta_since(self, mark: int) -> List[MatchEvidence]:
-        """Records interned after *mark* — the shippable evidence delta."""
-        self._flush()
-        return self._records[mark:]
-
-    def merge(self, records: Sequence[MatchEvidence]) -> int:
-        """Intern shipped *records*; returns how many were new."""
-        self._flush()
-        before = len(self._records)
-        for record in records:
-            self.intern(record)
-        return len(self._records) - before
-
-    def copy(self) -> "EvidenceLog":
-        self._flush()
-        clone = EvidenceLog()
-        clone._records = list(self._records)
-        clone._by_ref = dict(self._by_ref)
-        return clone
 
     def to_json(self) -> List[Dict[str, object]]:
         self._flush()

@@ -315,13 +315,15 @@ class TestFragmentedEquivalence:
             assert not result.outcome.quarantined, (backend, seed)
 
     def test_process_crash_reships_fragment_to_survivor(self):
-        # Kill a worker after its first batch — by then it holds at
-        # least one fragment replica. Its units rebury, the fragment
-        # re-ships to whichever worker picks them up, and the run
-        # completes with zero quarantined units.
+        # Kill worker 0 on its first batch. Dispatch always hands worker
+        # 0 the first batch, and the coordinator records the fragment
+        # replica it ships with that batch before the crash fires. The
+        # dead worker's units rebury, the fragment re-ships to whichever
+        # worker picks them up, and the run completes with zero
+        # quarantined units.
         sigma = random_gfds(12, 4, 3, seed=9)
         expected = seq_sat(sigma).satisfiable
-        plan = FaultPlan.single("crash", worker_id=0, batch_index=1)
+        plan = FaultPlan.single("crash", worker_id=0, batch_index=0)
         config = RuntimeConfig(
             workers=3,
             fault_plan=plan,
@@ -333,6 +335,8 @@ class TestFragmentedEquivalence:
         assert not result.outcome.quarantined
         assert result.outcome.worker_deaths >= 1
         assert result.outcome.fragments_shipped >= 1
+        # More replicas shipped than there are fragments: the re-ship.
+        assert result.outcome.fragments_shipped > config.fragments
 
     def test_process_ships_fragments_on_demand(self):
         sigma = delta_hub_workload(

@@ -115,6 +115,22 @@ class TestPropertyGraphAccess:
         small_graph.set_attr("a0", "x", 42)
         assert small_graph.attrs("a0")["x"] == 42
 
+    def test_set_attr_rejected_while_replicas_or_pins_depend_on_history(self, small_graph):
+        # Attribute writes are not journaled: on a graph that feeds
+        # replicas (retained deltas) or pinned read views they would
+        # silently diverge, so they raise until both are undone.
+        small_graph.retain_deltas(True)
+        with pytest.raises(GraphError, match="not journaled"):
+            small_graph.set_attr("a0", "x", 42)
+        version = small_graph.pin_version()
+        small_graph.retain_deltas(False)
+        with pytest.raises(GraphError, match="not journaled"):
+            small_graph.set_attr("a0", "x", 42)
+        assert small_graph.attrs("a0")["x"] == 1
+        small_graph.release_version(version)
+        small_graph.set_attr("a0", "x", 42)
+        assert small_graph.attrs("a0")["x"] == 42
+
     def test_contains_and_len(self, small_graph):
         assert "a0" in small_graph
         assert "zz" not in small_graph

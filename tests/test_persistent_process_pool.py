@@ -11,7 +11,9 @@ import pytest
 
 from repro.eq.eqrelation import EqRelation
 from repro.gfd.canonical import build_canonical_graph, canonical_node_id
+from repro.gfd.generator import random_gfds
 from repro.parallel import ProcessBackend, RuntimeConfig, UnitContext
+from repro.parallel.parsat import PreparedSat
 from repro.reasoning.enforce import EnforcementEngine
 from repro.reasoning.workunits import generate_work_units
 from repro.reasoning.seqsat import seq_sat
@@ -270,3 +272,29 @@ class TestPersistentPool:
         )
         verdicts = run_incrementally(example8_sigma[:2], config)
         assert verdicts == [True, True]
+
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_standing_replicas_ship_the_sequential_evidence(self, start_method):
+        # Workers ship raw evidence notes marked per batch; a refreshed
+        # replica starts from the new run's engine, so the second run's
+        # log holds exactly the sequential evidence again.
+        import multiprocessing as mp
+
+        if start_method not in mp.get_all_start_methods():
+            pytest.skip(f"{start_method} unavailable on this platform")
+        sigma = random_gfds(9, 4, 3, seed=900)
+        expected = set(seq_sat(sigma).results.evidence.refs())
+        config = RuntimeConfig(
+            workers=2, persistent_workers=True, start_method=start_method
+        )
+        prepared = PreparedSat.build(sigma, config)
+        backend = ProcessBackend(config)
+        try:
+            cold = prepared.run(backend)
+            procs = list(backend._pool["procs"])
+            warm = prepared.run(backend)
+            assert backend._pool["procs"] == procs  # refreshed, not restarted
+        finally:
+            backend.close()
+        assert set(cold.results.evidence.refs()) == expected
+        assert set(warm.results.evidence.refs()) == expected

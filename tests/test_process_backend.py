@@ -20,12 +20,18 @@ from repro.parallel import (
     par_sat,
 )
 from repro.parallel.backends.process import (
+    _handle_batch,
+    _WorkerState,
     load_worker_snapshot,
     make_worker_snapshot,
 )
+from repro.parallel.parsat import PreparedSat
 from repro.parallel.units import UnitResult, execute_unit
 from repro.reasoning.enforce import EnforcementEngine
+from repro.reasoning.seqsat import seq_sat
 from repro.reasoning.workunits import WorkUnit, generate_work_units
+from repro.results import evidence as evidence_module
+from repro.results.evidence import EvidenceLog
 
 
 class TestPickleRoundTrips:
@@ -170,6 +176,49 @@ class TestWorkerSnapshot:
             theirs.enforce_ops,
         )
         assert state.engine.eq.delta_since(0) == engine.eq.delta_since(0)
+
+
+class TestLazyEvidenceShipping:
+    """Workers ship raw evidence notes; nothing is digested on the way."""
+
+    def test_worker_batches_digest_nothing_and_ship_the_sequential_evidence(
+        self, monkeypatch
+    ):
+        sigma = straggler_workload(
+            num_anchor=1, num_seekers=2, num_background=5, anchor_size=8,
+            seeker_length=4, seed=5,
+        )
+        config = RuntimeConfig(workers=2, ttl_seconds=0.05)
+        # The fork path's worker state: the coordinator's prepared context
+        # plus a fresh engine, executed in-process.
+        prepared = PreparedSat.build(sigma, config)
+        units = prepared.make_units()
+        prepared.context.precompute_neighborhoods(units)
+        engine = EnforcementEngine(EqRelation(), prepared.canonical.gfds)
+        state = _WorkerState(
+            prepared.context, engine, None, config.ttl_ticks, config.max_split_units
+        )
+        digests = []
+        original = evidence_module.ref_of_items
+
+        def counting_ref_of_items(gfd, items):
+            digests.append(gfd)
+            return original(gfd, items)
+
+        monkeypatch.setattr(evidence_module, "ref_of_items", counting_ref_of_items)
+        payloads = []
+        batch = units
+        while batch:
+            reply = _handle_batch(state, batch, [], 0, len(payloads))
+            assert reply[0] == "done" and not reply[6]
+            payloads.append(reply[7])
+            batch = [split for result in reply[1] for split in result.splits]
+        assert len(payloads) > 1  # the TTL split stragglers
+        assert digests == []
+        shipped = EvidenceLog()
+        for payload in payloads:
+            shipped.absorb(payload)
+        assert set(shipped.refs()) == set(seq_sat(sigma).results.evidence.refs())
 
 
 class TestProcessBackend:

@@ -99,24 +99,61 @@ class TestEvidenceLog:
         duplicate = MatchEvidence.from_match("g", {"x": "n1"}, origin="validate")
         assert log.intern(duplicate) is record
 
-    def test_merge_is_idempotent(self):
+    def test_absorbing_a_payload_twice_adds_nothing(self):
         source = EvidenceLog()
+        mark = source.mark()
         source.note("g", {"x": "n1"}, {})
         source.note("g", {"x": "n2"}, {})
-        shipped = list(source)
+        payload = source.export_since(mark)
+        # Export is raw: nothing was digested on the producing side.
+        assert source._pending and not source._records
         target = EvidenceLog()
-        assert target.merge(shipped) == 2
-        assert target.merge(shipped) == 0
+        target.absorb(payload)
+        assert len(target) == 2
+        target.absorb(payload)
+        assert len(target) == 2
         assert target.refs() == source.refs()
 
-    def test_position_and_delta_since(self):
+    def test_export_ships_only_notes_after_the_mark(self):
         log = EvidenceLog()
         log.note("g", {"x": "n1"}, {})
-        mark = log.position()
-        log.note("g", {"x": "n1"}, {})  # dup: not a new record
+        mark = log.mark()
         log.note("g", {"x": "n2"}, {})
-        delta = log.delta_since(mark)
-        assert [record.assignment for record in delta] == [(("x", "n2"),)]
+        target = EvidenceLog()
+        target.absorb(log.export_since(mark))
+        assert target.refs() == [evidence_ref("g", {"x": "n2"})]
+
+    def test_local_notes_and_payloads_intern_first_wins_in_arrival_order(self):
+        remote = EvidenceLog()
+        remote.note("g", {"x": "n1"}, {"origin": "remote"})
+        remote.note("g", {"x": "n2"}, {"origin": "remote"})
+        payload = remote.export_since(0)
+        log = EvidenceLog()
+        log.note("g", {"x": "n1"}, {"origin": "local"})
+        log.absorb(payload)
+        log.note("g", {"x": "n2"}, {"origin": "local"})
+        log.note("g", {"x": "n3"}, {"origin": "local"})
+        # Queued unopened until the first read.
+        assert payload in log._pending and not log._records
+        assert [(r.assignment[0][1], r.origin) for r in log] == [
+            ("n1", "local"),
+            ("n2", "remote"),
+            ("n3", "local"),
+        ]
+
+    def test_export_from_a_materialized_past_mark_raises(self):
+        log = EvidenceLog()
+        mark = log.mark()
+        log.note("g", {"x": "n1"}, {})
+        assert len(log) == 1  # a read materializes past the mark
+        with pytest.raises(ValueError, match="materialized"):
+            log.export_since(mark)
+        # A mark taken after the read exports the notes that follow it.
+        later = log.mark()
+        log.note("g", {"x": "n2"}, {})
+        target = EvidenceLog()
+        target.absorb(log.export_since(later))
+        assert target.refs() == [evidence_ref("g", {"x": "n2"})]
 
     def test_pickle_roundtrip_recreates_lock(self):
         log = EvidenceLog()
