@@ -4,8 +4,8 @@ Two workloads exercise the parallel runtime from opposite ends:
 
 * ``straggler`` — dense anchors explode seeker matching (heavy per-unit
   CPU, heavy enforcement): the backend comparison. The process backend
-  avoids both the GIL and the threaded backend's global engine lock, so
-  it should win even on one core and scale with real cores;
+  runs against a timed ``seq_sat`` call on the same rules, the baseline
+  it must beat on real cores (``process_speedup_vs_seq``);
 * ``delta_hub`` — hub-and-spoke topology where every spoke's match
   re-derives hub-level ``ΔEq`` facts: broadcast volume, not matching,
   dominates. This is the scheduler comparison: pivot-affinity routing +
@@ -20,7 +20,7 @@ workloads and both scheduler configs. Those are exactly reproducible
 
 The numbers feed ``BENCH_parallel.json`` so successive PRs can track the
 runtime trajectory; every run must report the same verdict across
-backends and scheduler configs or the script exits nonzero.
+backends, ``seq_sat`` and scheduler configs or the script exits nonzero.
 
 Run standalone::
 
@@ -55,10 +55,10 @@ from typing import Dict, List
 
 from repro.gfd.generator import delta_hub_workload, straggler_workload
 from repro.parallel import FaultEvent, FaultPlan, RuntimeConfig, par_sat
+from repro.reasoning.seqsat import seq_sat
 
 #: The multi-core workload: dense anchors explode seeker matching (heavy
-#: per-unit CPU) and every match funnels through enforcement (heavy lock
-#: pressure for the threaded backend).
+#: per-unit CPU) and every match funnels through enforcement.
 STRAGGLER_FULL = dict(
     num_anchor=2, num_seekers=5, num_background=40,
     anchor_size=13, seeker_length=7, seed=11,
@@ -78,9 +78,6 @@ DELTA_HUB_SMOKE = dict(
     num_hubs=4, spokes_per_hub=10, num_writers=5, num_pairers=2,
     num_background=8, seed=7,
 )
-
-BACKENDS = ("threaded", "process")
-
 
 def outcome_record(outcome) -> Dict:
     """The per-run counters worth tracking across PRs."""
@@ -127,6 +124,22 @@ def bench_config(sigma, backend: str, config: RuntimeConfig, repeats: int) -> Di
     return record
 
 
+def bench_seq_sat(sigma, repeats: int, capture_provenance: bool = True):
+    """Time ``seq_sat`` on *sigma*; returns the last result and a record."""
+    walls: List[float] = []
+    result = None
+    for _ in range(repeats):
+        started = time.perf_counter()
+        result = seq_sat(sigma, capture_provenance=capture_provenance)
+        walls.append(time.perf_counter() - started)
+    record = {
+        "verdict": result.satisfiable,
+        "wall_seconds_min": round(min(walls), 4),
+        "wall_seconds_all": [round(w, 4) for w in walls],
+    }
+    return result, record
+
+
 def bench_simulated(sigma, config: RuntimeConfig) -> Dict:
     """Deterministic virtual-clock record (the CI regression signal)."""
     result = par_sat(sigma, config, backend="simulated")
@@ -162,17 +175,18 @@ def run_suite(smoke: bool = False, workers: int = 4, repeats: int = 2) -> Dict:
     }
     verdicts = set()
 
-    # Backend comparison on the straggler workload (scheduler at defaults).
-    backends: Dict = {}
-    for backend in BACKENDS:
-        backends[backend] = bench_config(straggler, backend, config, repeats)
-        verdicts.add(("straggler", backends[backend]["verdict"]))
+    # Backend comparison on the straggler workload (scheduler at defaults):
+    # the process backend against the sequential run it must beat.
+    backends: Dict = {
+        "process": bench_config(straggler, "process", config, repeats),
+        "seq_sat": bench_seq_sat(straggler, repeats)[1],
+    }
+    for record in backends.values():
+        verdicts.add(("straggler", record["verdict"]))
     results["backends"] = backends
-    threaded = backends["threaded"]["wall_seconds_min"]
+    seq = backends["seq_sat"]["wall_seconds_min"]
     process = backends["process"]["wall_seconds_min"]
-    results["process_speedup_vs_threaded"] = (
-        round(threaded / process, 3) if process else None
-    )
+    results["process_speedup_vs_seq"] = round(seq / process, 3) if process else None
 
     # Scheduler comparison on the delta-heavy hub workload (process
     # backend: affinity + adaptive batching vs the fixed-batch ablation).
@@ -400,8 +414,6 @@ def run_results(smoke: bool = False, workers: int = 4, repeats: int = 2) -> Dict
     (stable cross-worker ids) and all verdicts must agree, or the script
     exits nonzero.
     """
-    from repro.reasoning.seqsat import seq_sat
-
     params = DELTA_HUB_SMOKE if smoke else DELTA_HUB_FULL
     sigma = delta_hub_workload(**params)
     config = RuntimeConfig(workers=workers, ttl_seconds=2.0)
@@ -414,22 +426,8 @@ def run_results(smoke: bool = False, workers: int = 4, repeats: int = 2) -> Dict
         "workload": dict(params, kind="delta_hub", sigma_size=len(sigma)),
     }
 
-    def bench_seq(capture: bool):
-        walls: List[float] = []
-        result = None
-        for _ in range(repeats):
-            started = time.perf_counter()
-            result = seq_sat(sigma, capture_provenance=capture)
-            walls.append(time.perf_counter() - started)
-        record = {
-            "verdict": result.satisfiable,
-            "wall_seconds_min": round(min(walls), 4),
-            "wall_seconds_all": [round(w, 4) for w in walls],
-        }
-        return result, record
-
-    seq_on_result, seq_on = bench_seq(True)
-    _, seq_off = bench_seq(False)
+    seq_on_result, seq_on = bench_seq_sat(sigma, repeats)
+    _, seq_off = bench_seq_sat(sigma, repeats, capture_provenance=False)
     seq_store = seq_on_result.results
     seq_on["evidence_records"] = len(seq_store.evidence)
     seq_on["derivation_ops"] = len(seq_store.derivation)

@@ -5,8 +5,8 @@ Runs a straggler-heavy satisfiable workload through ParSat (and an
 implication instance through ParImp) on the simulated cluster for
 p ∈ {1, 2, 4, 8, 16}, printing the virtual running time, the speedup over
 p=1 and the contribution of the paper's two optimizations (pipelining,
-work-unit splitting). Finishes with a threaded run to show the same verdict
-under real concurrency.
+work-unit splitting). Finishes with a process-backend run to show the same
+verdict on real cores.
 
 Run:  python examples/parallel_scaling.py
 """
@@ -58,7 +58,7 @@ def trace_demo() -> None:
     them apart across workers."""
     from repro.eq.eqrelation import EqRelation
     from repro.gfd import build_canonical_graph
-    from repro.parallel import SimulatedCluster, Trace, UnitContext, render_gantt, summarize
+    from repro.parallel import SimulatedBackend, Trace, UnitContext, render_gantt, summarize
     from repro.reasoning.enforce import EnforcementEngine
     from repro.reasoning.workunits import generate_pruned_work_units
 
@@ -71,7 +71,7 @@ def trace_demo() -> None:
     context = UnitContext(canonical.graph, canonical.gfds)
     engine = EnforcementEngine(EqRelation(), canonical.gfds)
     trace = Trace()
-    SimulatedCluster(RuntimeConfig(workers=4, ttl_seconds=0.2)).run(
+    SimulatedBackend(RuntimeConfig(workers=4, ttl_seconds=0.2)).run(
         units, context, engine, trace=trace
     )
     print("\n=== execution trace (p=4, TTL=0.2s) ===")
@@ -79,23 +79,23 @@ def trace_demo() -> None:
     print(summarize(trace, top=3))
 
 
-def threaded_parity() -> None:
+def process_parity() -> None:
     sigma = straggler_workload(num_anchor=1, num_seekers=2, num_background=20, seed=11)
-    simulated = par_sat(sigma, RuntimeConfig(workers=4))
-    threaded = par_sat(sigma, RuntimeConfig(workers=4), runtime="threaded")
+    simulated = par_sat(sigma, RuntimeConfig(workers=2))
+    process = par_sat(sigma, RuntimeConfig(workers=2), backend="process")
     print(
-        f"\nthreaded parity: simulated verdict={simulated.satisfiable}, "
-        f"threaded verdict={threaded.satisfiable} "
-        f"(threads took {threaded.wall_seconds:.2f}s wall)"
+        f"\nprocess parity: simulated verdict={simulated.satisfiable}, "
+        f"process verdict={process.satisfiable} "
+        f"(processes took {process.wall_seconds:.2f}s wall)"
     )
-    assert simulated.satisfiable == threaded.satisfiable
+    assert simulated.satisfiable == process.satisfiable
 
 
 def main() -> None:
     scaling_table()
     implication_scaling()
     trace_demo()
-    threaded_parity()
+    process_parity()
     print("\nParallel scaling demo complete.")
 
 

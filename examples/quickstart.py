@@ -136,7 +136,7 @@ def matching_internals_demo() -> None:
 
 
 def backend_selection_demo() -> None:
-    print("\n=== Execution backends: simulated / threaded / process ===")
+    print("\n=== Execution backends: simulated / process ===")
     from repro.gfd.generator import random_gfds
     from repro.parallel import RuntimeConfig, available_backends, par_sat
 
@@ -146,7 +146,7 @@ def backend_selection_demo() -> None:
     for backend in available_backends():
         result = par_sat(sigma, config, backend=backend)
         # The simulated backend reports deterministic *virtual* seconds
-        # (the paper's cost model); threaded and process report wall time.
+        # (the paper's cost model); the process backend reports wall time.
         clock = (
             f"virtual {result.virtual_seconds:.3f}s"
             if backend == "simulated"

@@ -12,7 +12,7 @@ Graph Functional Dependencies" (ICDE 2018). The package provides:
 * sequential exact reasoning — ``SeqSat`` / ``SeqImp`` — plus validation
   and rule-cover utilities (:mod:`repro.reasoning`);
 * parallel scalable reasoning — ``ParSat`` / ``ParImp`` — on a simulated
-  cluster or real threads (:mod:`repro.parallel`);
+  cluster or real worker processes (:mod:`repro.parallel`);
 * chase baselines (:mod:`repro.chase`); and
 * the benchmark harness reproducing every table/figure of the paper
   (:mod:`repro.bench`).

@@ -99,8 +99,8 @@ def fig6ab_sat_varying_p(
     Fig. 6(b) YAGO2). Paper: ParSat speeds up 3.2–3.7x from p=4 to 20 and
     beats nb by up to 5.3x, np by ~1.5x.
 
-    *backend* selects the execution runtime; with ``'threaded'`` or
-    ``'process'`` the y-axis is wall seconds instead of virtual seconds.
+    *backend* selects the execution runtime; with ``'process'`` the
+    y-axis is wall seconds instead of virtual seconds.
     """
     workload = parallel_sat_workload(dataset, seed=seed)
     figure = "fig6a" if dataset == "dbpedia" else "fig6b"
@@ -134,8 +134,8 @@ def fig6cd_imp_varying_p(
     Paper: ParImp is ~3x faster from p=4 to 20; beats nb by ~4.1x, np by
     ~1.7x on average.
 
-    *backend* selects the execution runtime; with ``'threaded'`` or
-    ``'process'`` the y-axis is wall seconds instead of virtual seconds.
+    *backend* selects the execution runtime; with ``'process'`` the
+    y-axis is wall seconds instead of virtual seconds.
     """
     offsets = {"dbpedia": 0, "yago2": 1, "pokec": 2}
     workload = implication_workload(seed=seed + offsets.get(dataset, 9))

@@ -22,7 +22,7 @@ instead of the rendered chains.
 Rule files use the text DSL (``.gfd``) or JSON (``.json``); graphs are the
 JSON format of :mod:`repro.graph.io`. ``--parallel P`` switches ``sat`` and
 ``imp`` to the parallel algorithms with ``P`` workers; ``--backend``
-selects the execution runtime (``simulated``, ``threaded``, ``process``);
+selects the execution runtime (``simulated``, ``process``);
 ``--batch-size`` seeds the scheduler's per-worker batches and
 ``--no-affinity`` turns off pivot-affinity routing + adaptive batching
 (the fixed-batch ablation). ``--max-unit-retries`` bounds how often the

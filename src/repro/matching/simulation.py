@@ -34,9 +34,7 @@ Both compute the same (unique) maximal dual simulation, so downstream
 match streams are byte-identical under either representation.
 
 ``dual_simulation`` never mutates its input: an unfrozen pattern is left
-unfrozen (freezing mutates shared ``Pattern`` state, which can race when
-:class:`~repro.parallel.backends.threaded.ThreadedBackend` workers share
-one pattern object).
+unfrozen, so a caller may keep building the pattern after the call.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """Parallel reasoning: ParSat / ParImp on pluggable execution backends.
 
 Backends (``backend=`` on :func:`par_sat` / :func:`par_imp`, or
-:func:`get_backend`): ``'simulated'`` virtual clock, ``'threaded'`` real
-threads, ``'process'`` multiprocessing on real cores.
+:func:`get_backend`): ``'simulated'`` virtual clock, ``'process'``
+multiprocessing on real cores.
 """
 
 from .backends import (
@@ -10,13 +10,11 @@ from .backends import (
     Backend,
     ProcessBackend,
     SimulatedBackend,
-    ThreadedBackend,
     available_backends,
     get_backend,
 )
 from .config import DEFAULT_TTL_SECONDS, CostModel, RuntimeConfig
 from .coordinator import ParallelOutcome, QuarantinedUnit, drain_in_process
-from .engine import SimulatedCluster, ThreadedCluster, make_cluster
 from .faults import FaultEvent, FaultPlan, InjectedFault, RetryTracker
 from .goals import EntailmentGoal
 from .parimp import ParImpResult, par_imp, par_imp_nb, par_imp_np
@@ -41,12 +39,8 @@ __all__ = [
     "drain_in_process",
     "ProcessBackend",
     "SimulatedBackend",
-    "SimulatedCluster",
-    "ThreadedBackend",
-    "ThreadedCluster",
     "available_backends",
     "get_backend",
-    "make_cluster",
     "ParImpResult",
     "par_imp",
     "par_imp_nb",

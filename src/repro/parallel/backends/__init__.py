@@ -1,12 +1,10 @@
-"""Execution backends: one coordinator/worker protocol, three runtimes.
+"""Execution backends: one coordinator/worker protocol, two runtimes.
 
 ========== ===================== ==========================================
 key        class                 what the workers are
 ========== ===================== ==========================================
 simulated  SimulatedBackend      virtual-clock discrete events (exact
                                  verdicts, deterministic timing figures)
-threaded   ThreadedBackend       ``threading`` workers over one
-                                 lock-protected engine (GIL-bound)
 process    ProcessBackend        ``multiprocessing`` replicas with ΔEq
                                  exchange (real cores)
 ========== ===================== ==========================================
@@ -25,31 +23,16 @@ from ..config import RuntimeConfig
 from .base import Backend, GoalCheck
 from .process import ProcessBackend
 from .simulated import SimulatedBackend
-from .threaded import ThreadedBackend
 
 #: Registry of selectable backends, keyed by their ``name``.
 BACKENDS: Dict[str, Type[Backend]] = {
-    backend.name: backend
-    for backend in (SimulatedBackend, ThreadedBackend, ProcessBackend)
+    backend.name: backend for backend in (SimulatedBackend, ProcessBackend)
 }
 
 
 def available_backends() -> Tuple[str, ...]:
     """The selectable backend keys, in registry order."""
     return tuple(BACKENDS)
-
-
-def resolve_backend_name(backend: "str | None", runtime: "str | None") -> str:
-    """Merge the ``backend=`` selector with its legacy ``runtime=`` alias.
-
-    Entry points (:func:`par_sat`, :func:`par_imp`) accept both; passing
-    conflicting names is an error, passing neither selects ``simulated``.
-    """
-    if backend is not None and runtime is not None and backend != runtime:
-        raise ValueError(
-            f"conflicting selectors: backend={backend!r} vs runtime={runtime!r}"
-        )
-    return backend or runtime or "simulated"
 
 
 def get_backend(name: str, config: RuntimeConfig) -> Backend:
@@ -71,8 +54,6 @@ __all__ = [
     "GoalCheck",
     "ProcessBackend",
     "SimulatedBackend",
-    "ThreadedBackend",
     "available_backends",
     "get_backend",
-    "resolve_backend_name",
 ]

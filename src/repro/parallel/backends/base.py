@@ -33,8 +33,7 @@ reachable deterministically through ``config.fault_plan``
 (:mod:`repro.parallel.faults`): each backend keys its per-worker
 dispatch counter against the plan via :meth:`Backend.fault_event` and
 interprets the four event kinds in its own idiom (an OS process can
-really crash and hang; a thread "crashes" by burying its batch and
-leaving the pool; a virtual worker leaves the ready heap).
+really crash and hang; a virtual worker leaves the ready heap).
 """
 
 from __future__ import annotations
@@ -57,7 +56,7 @@ GoalCheck = Callable[[EqRelation], bool]
 class Backend(ABC):
     """A parallel execution runtime for the coordinator/worker protocol."""
 
-    #: Registry key (``'simulated'`` / ``'threaded'`` / ``'process'``).
+    #: Registry key (``'simulated'`` / ``'process'``).
     name: ClassVar[str] = ""
 
     def __init__(self, config: RuntimeConfig) -> None:
@@ -99,7 +98,7 @@ class Backend(ABC):
     def close(self) -> None:
         """Release resources held *across* runs.
 
-        The in-process backends hold none (no-op); the process backend
+        The simulated backend holds none (no-op); the process backend
         overrides this to stop a persistent worker pool
         (``RuntimeConfig.persistent_workers``). Safe to call repeatedly.
         """

@@ -186,7 +186,7 @@ class RuntimeConfig:
         Deterministic fault injection
         (:class:`~repro.parallel.faults.FaultPlan`): scripted
         crash/hang/error/slow events keyed by ``(worker_id,
-        batch_index)`` plus poisoned units, honored by all three
+        batch_index)`` plus poisoned units, honored by both
         backends. ``None`` (default) injects nothing.
     capture_provenance:
         Layered result model: engines note every enforced match as
@@ -205,8 +205,8 @@ class RuntimeConfig:
         fragments' replicas — cross-fragment pivots are resolved by
         shipping per-unit dQ-balls, and persistent-pool refreshes ship
         per-fragment delta streams. ``None`` (default) keeps whole-graph
-        snapshots. The simulated/threaded backends honor the
-        fragment-local dispatch keys against their shared whole graph.
+        snapshots. The simulated backend honors the fragment-local
+        dispatch keys against its shared whole graph.
     """
 
     workers: int = 4

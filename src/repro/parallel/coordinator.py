@@ -2,7 +2,7 @@
 
 The paper's Fig. 3 protocol has one coordinator and ``p`` workers; what
 varies between our runtimes is only *where* the workers live (virtual
-clock, threads, processes). This module holds the runtime-agnostic half:
+clock or processes). This module holds the runtime-agnostic half:
 
 * :class:`ParallelOutcome` — the uniform result record every backend
   returns (verdict, cost counters, per-worker busy time);
@@ -15,7 +15,7 @@ clock, threads, processes). This module holds the runtime-agnostic half:
   (paper, lines 9–10 of ParSat: splits jump the queue).
 
 Backends import from here; entry points import the names re-exported by
-:mod:`repro.parallel.engine` (the historical home) or the package root.
+the package root.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ class ParallelOutcome:
     broadcast_ops: int = 0
     #: ΔEq ops that actually crossed the coordinator/worker boundary, both
     #: directions (the process backend's wire traffic; modeled per-sync on
-    #: the simulated backend; 0 on the shared-memory threaded backend).
+    #: the simulated backend).
     broadcast_volume: int = 0
     #: Coordinator round trips: batch dispatches plus settlement syncs.
     sync_rounds: int = 0

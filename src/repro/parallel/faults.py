@@ -3,8 +3,8 @@
 The supervision layer (batch timeouts, retry/quarantine, respawn,
 degradation) only earns its keep if every failure path can be exercised
 on demand. A :class:`FaultPlan` is a *seeded, declarative script* of
-failures threaded through :class:`~repro.parallel.config.RuntimeConfig`
-into all three backends:
+failures carried by :class:`~repro.parallel.config.RuntimeConfig`
+into both backends:
 
 * **worker events** are keyed by ``(worker_id, batch_index)`` — the
   ``batch_index``-th ``units`` dispatch the coordinator hands worker
@@ -12,12 +12,12 @@ into all three backends:
   keeps counting across respawns, so one event fires at most once):
 
   - ``crash`` — the worker dies abruptly (``os._exit`` on the process
-    backend; the thread/simulated worker stops serving). Its in-flight
-    units are recovered by the supervisor;
+    backend; the simulated worker stops serving). Its in-flight units
+    are recovered by the supervisor;
   - ``hang`` — the worker goes silent without dying (process backend:
     sleeps past any deadline until the coordinator's hang detection
-    kills it; the in-thread/simulated runtimes cannot suspend a worker
-    they could never preempt, so they degrade it to ``crash``);
+    kills it; the simulated runtime cannot suspend a worker it could
+    never preempt, so it degrades it to ``crash``);
   - ``error`` — the first unit of the batch raises
     :class:`InjectedFault` (a worker-side exception: the unit enters the
     retry/quarantine path, the worker survives);

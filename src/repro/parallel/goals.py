@@ -1,8 +1,8 @@
 """Picklable early-termination goals for the parallel runtimes.
 
 The implication variant terminates early when ``Y ⊆ Eq_H`` (paper,
-Section VI-C). The simulated and threaded backends can evaluate any
-callable against the shared ``Eq``; the process backend must *ship* the
+Section VI-C). The simulated backend can evaluate any callable against
+the shared ``Eq``; the process backend must *ship* the
 goal to worker replicas, so it needs a picklable value object rather than
 a closure. :class:`EntailmentGoal` is that object — it is itself callable
 with the usual ``goal_check(eq) -> bool`` signature, so every backend

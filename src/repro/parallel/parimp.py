@@ -25,7 +25,7 @@ from ..reasoning.workunits import (
     generate_pruned_work_units,
     order_units,
 )
-from .backends import get_backend, resolve_backend_name
+from .backends import get_backend
 from .config import RuntimeConfig
 from .coordinator import ParallelOutcome
 from .goals import EntailmentGoal
@@ -80,17 +80,14 @@ def par_imp(
     sigma: Sequence[GFD],
     phi: GFD,
     config: Optional[RuntimeConfig] = None,
-    backend: Optional[str] = None,
-    runtime: Optional[str] = None,
+    backend: str = "simulated",
 ) -> ParImpResult:
     """Decide ``Σ |= φ`` with ``p = config.workers`` workers.
 
-    *backend* (or its legacy alias *runtime*) selects ``'simulated'``
-    (default), ``'threaded'``, or ``'process'``. Raises
+    *backend* selects ``'simulated'`` (default) or ``'process'``. Raises
     :class:`~repro.errors.GFDError` when two rules of Σ share a name.
     """
     config = config or RuntimeConfig()
-    backend_name = resolve_backend_name(backend, runtime)
     by_name = gfds_by_name(sigma)
     canonical = build_implication_canonical(phi)
     eq = canonical.fresh_eq()
@@ -151,7 +148,7 @@ def par_imp(
     # the process boundary).
     goal_check = EntailmentGoal.make(phi, identity)
 
-    outcome = get_backend(backend_name, config).run(
+    outcome = get_backend(backend, config).run(
         units, context, engine, goal_check=goal_check
     )
     if outcome.conflict is not None:
@@ -165,21 +162,19 @@ def par_imp_np(
     sigma: Sequence[GFD],
     phi: GFD,
     config: Optional[RuntimeConfig] = None,
-    backend: Optional[str] = None,
-    runtime: Optional[str] = None,
+    backend: str = "simulated",
 ) -> ParImpResult:
     """``ParImpnp``: ParImp without pipelined parallelism (ablation)."""
     config = (config or RuntimeConfig()).without_pipelining()
-    return par_imp(sigma, phi, config, backend, runtime)
+    return par_imp(sigma, phi, config, backend)
 
 
 def par_imp_nb(
     sigma: Sequence[GFD],
     phi: GFD,
     config: Optional[RuntimeConfig] = None,
-    backend: Optional[str] = None,
-    runtime: Optional[str] = None,
+    backend: str = "simulated",
 ) -> ParImpResult:
     """``ParImpnb``: ParImp without work-unit splitting (ablation)."""
     config = (config or RuntimeConfig()).without_splitting()
-    return par_imp(sigma, phi, config, backend, runtime)
+    return par_imp(sigma, phi, config, backend)

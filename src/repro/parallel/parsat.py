@@ -31,7 +31,7 @@ from ..reasoning.workunits import (
     generate_work_units,
     order_units,
 )
-from .backends import get_backend, resolve_backend_name
+from .backends import get_backend
 from .config import RuntimeConfig
 from .coordinator import ParallelOutcome
 from .units import UnitContext, attach_fragmentation
@@ -167,42 +167,37 @@ class PreparedSat:
 def par_sat(
     sigma: Sequence[GFD],
     config: Optional[RuntimeConfig] = None,
-    backend: Optional[str] = None,
-    runtime: Optional[str] = None,
+    backend: str = "simulated",
 ) -> ParSatResult:
     """Decide satisfiability of *sigma* with ``p = config.workers`` workers.
 
     *backend* selects the execution runtime: the virtual-clock simulator
     (``'simulated'``, default; deterministic, used for the scalability
-    figures), real threads (``'threaded'``), or multiprocessing on real
-    cores (``'process'``). *runtime* is the legacy alias for the same
-    selector. One-shot: builds a fresh :class:`PreparedSat` and a fresh
-    backend per call — long-lived callers that want standing pools reuse a
-    ``PreparedSat`` and their own backend instance instead.
+    figures) or multiprocessing on real cores (``'process'``). One-shot:
+    builds a fresh :class:`PreparedSat` and a fresh backend per call —
+    long-lived callers that want standing pools reuse a ``PreparedSat``
+    and their own backend instance instead.
     """
     config = config or RuntimeConfig()
-    backend_name = resolve_backend_name(backend, runtime)
     prepared = PreparedSat.build(sigma, config)
-    return prepared.run(get_backend(backend_name, config))
+    return prepared.run(get_backend(backend, config))
 
 
 def par_sat_np(
     sigma: Sequence[GFD],
     config: Optional[RuntimeConfig] = None,
-    backend: Optional[str] = None,
-    runtime: Optional[str] = None,
+    backend: str = "simulated",
 ) -> ParSatResult:
     """``ParSatnp``: ParSat without pipelined parallelism (ablation)."""
     config = (config or RuntimeConfig()).without_pipelining()
-    return par_sat(sigma, config, backend, runtime)
+    return par_sat(sigma, config, backend)
 
 
 def par_sat_nb(
     sigma: Sequence[GFD],
     config: Optional[RuntimeConfig] = None,
-    backend: Optional[str] = None,
-    runtime: Optional[str] = None,
+    backend: str = "simulated",
 ) -> ParSatResult:
     """``ParSatnb``: ParSat without work-unit splitting (ablation)."""
     config = (config or RuntimeConfig()).without_splitting()
-    return par_sat(sigma, config, backend, runtime)
+    return par_sat(sigma, config, backend)

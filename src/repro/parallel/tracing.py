@@ -10,7 +10,7 @@ renderers turn a trace into terminal-friendly views:
 * :func:`summarize` — per-worker utilization and the heaviest units.
 
 Tracing is off by default (zero overhead); pass ``trace=Trace()`` to
-:meth:`repro.parallel.engine.SimulatedCluster.run`.
+:meth:`repro.parallel.backends.simulated.SimulatedBackend.run`.
 """
 
 from __future__ import annotations

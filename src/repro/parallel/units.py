@@ -3,8 +3,9 @@
 A work unit ``(Q[z], φ)`` is executed by running the pivoted homomorphism
 matcher inside the ``dQ``-neighborhood of ``z`` and enforcing ``φ`` on each
 match as it is produced (the pipelined shape of Fig. 3). The function is
-runtime-agnostic: the simulated cluster calls it to obtain true operation
-counts for its virtual clock, and the thread runtime calls it for real.
+runtime-agnostic: the simulated backend calls it to obtain true operation
+counts for its virtual clock, and process workers call it on their
+replicas.
 
 Splitting: when the matcher's tick count crosses the TTL budget and
 unexplored sibling branches exist, they are stripped into sub-units

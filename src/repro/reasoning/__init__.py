@@ -34,7 +34,7 @@ from .validation import (
     match_satisfies_literal,
 )
 from .cover import CoverResult, minimal_cover, redundant_gfds
-from .explain import Explanation, explain_unsatisfiability, render_explanation, slice_conflict
+from .explain import Explanation, explain_unsatisfiability, render_explanation
 from .incremental import IncrementalSat, IncrementalStep
 
 __all__ = [
@@ -79,5 +79,4 @@ __all__ = [
     "Explanation",
     "explain_unsatisfiability",
     "render_explanation",
-    "slice_conflict",
 ]

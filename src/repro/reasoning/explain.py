@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
-from ..eq.eqrelation import Conflict, DeltaOp, EqRelation, Term
+from ..eq.eqrelation import Conflict, DeltaOp
 from ..gfd.gfd import GFD
 from ..results.store import slice_derivation
 from .seqsat import SatResult, seq_sat
@@ -39,27 +39,6 @@ class Explanation:
 
     def __len__(self) -> int:
         return len(self.steps)
-
-
-def slice_conflict(
-    eq: EqRelation,
-    conflict: Conflict,
-    premises: Optional[dict] = None,
-    conflict_premises: Sequence[Term] = (),
-) -> List[DeltaOp]:
-    """Backward slice of the delta log relevant to *conflict*.
-
-    Back-compat wrapper over :func:`repro.results.store.slice_derivation`:
-    premise terms now travel on each op's structured provenance, so the
-    *premises* index map is unused (accepted and ignored);
-    *conflict_premises* seeds stay supported for conflicts predating
-    structured provenance.
-    """
-    seeds = set(eq.members(conflict.term))
-    seeds.update(conflict_premises)
-    if conflict.provenance is not None:
-        seeds.update(conflict.provenance.premise_terms)
-    return slice_derivation(eq.delta_since(0), seeds)
 
 
 def _op_gfd(op: DeltaOp) -> str:
@@ -82,13 +61,18 @@ def explain_unsatisfiability(
         result = seq_sat(sigma)
     if result.satisfiable:
         return None
-    steps = slice_conflict(result.eq, result.conflict)
+    conflict = result.conflict
+    # Seeds: the clashing class, plus the antecedent terms of the match
+    # that closed it, so chains that only *enable* the clash are kept.
+    seeds = set(result.eq.members(conflict.term))
+    if conflict.provenance is not None:
+        seeds.update(conflict.provenance.premise_terms)
+    steps = slice_derivation(result.eq.delta_since(0), seeds)
     involved: List[str] = []
     for op in steps:
         name = _op_gfd(op)
         if name and name not in involved:
             involved.append(name)
-    conflict = result.conflict
     conflict_gfd = (
         conflict.provenance.gfd if conflict.provenance is not None else conflict.source
     )

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Mapping, Optional, Sequence
 
-from ..gfd.gfd import GFD
+from ..gfd.gfd import GFD, gfds_by_name
 from ..gfd.literals import ConstantLiteral, FalseLiteral, Literal, VariableLiteral
 from ..graph.elements import NodeId
 from ..graph.graph import PropertyGraph
@@ -115,11 +115,24 @@ def detect_errors(
     walk and concatenated in Σ order, so the returned list is identical to
     the per-rule loop's (per-GFD streams are byte-identical and the
     ``limit_per_gfd`` cap applies to the same prefix of each stream).
+    Raises :class:`~repro.errors.GFDError` when two rules of Σ share a
+    name, on either path.
     """
+    return _detect(graph, gfds_by_name(sigma), limit_per_gfd, use_ruleset_plan)
+
+
+def _detect(
+    graph: PropertyGraph,
+    by_name: Dict[str, GFD],
+    limit_per_gfd: Optional[int],
+    use_ruleset_plan: bool,
+) -> List[Violation]:
     if use_ruleset_plan:
         from ..matching.ruleset import RuleSetPlan
 
-        ruleset = RuleSetPlan(graph, (gfd for gfd in sigma if not gfd.is_trivial()))
+        ruleset = RuleSetPlan(
+            graph, (gfd for gfd in by_name.values() if not gfd.is_trivial())
+        )
         per_gfd: Dict[str, List[Violation]] = {name: [] for name in ruleset.gfds}
         for name, assignment in ruleset.matches():
             bucket = per_gfd[name]
@@ -134,12 +147,10 @@ def detect_errors(
                 Violation(name, dict(assignment), evidence_ref(name, assignment))
             )
         return [
-            violation
-            for gfd in sigma
-            for violation in per_gfd.get(gfd.name, ())
+            violation for name in by_name for violation in per_gfd.get(name, ())
         ]
     errors: List[Violation] = []
-    for gfd in sigma:
+    for gfd in by_name.values():
         errors.extend(find_violations(graph, gfd, limit=limit_per_gfd))
     return errors
 
@@ -156,21 +167,22 @@ def detect_errors_store(
     record for its witnessing match (origin ``"validate"``; plan names the
     matching path used). Error detection runs against concrete attribute
     values — no ``Eq`` chase — so the store's derivation layer is empty.
+    Each record reuses its violation's ``evidence_ref``, so every match is
+    digested once.
     """
-    gfds = {gfd.name: gfd for gfd in sigma}
-    violations = detect_errors(graph, sigma, limit_per_gfd, use_ruleset_plan)
+    by_name = gfds_by_name(sigma)
+    violations = _detect(graph, by_name, limit_per_gfd, use_ruleset_plan)
     store = ResultStore(violations=violations)
     plan = "ruleset" if use_ruleset_plan else "per-rule"
     for violation in violations:
-        gfd = gfds.get(violation.gfd_name)
-        pivot = None
-        if gfd is not None and gfd.pattern.variables:
-            pivot = violation.assignment.get(gfd.pattern.variables[0])
+        variables = by_name[violation.gfd_name].pattern.variables
+        assignment = violation.assignment
         store.evidence.intern(
-            MatchEvidence.from_match(
+            MatchEvidence(
+                violation.evidence_ref,
                 violation.gfd_name,
-                violation.assignment,
-                pivot=pivot,
+                tuple(sorted(assignment.items())),
+                pivot=assignment.get(variables[0]) if variables else None,
                 origin="validate",
                 plan=plan,
             )

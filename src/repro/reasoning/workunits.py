@@ -20,6 +20,7 @@ from __future__ import annotations
 import hashlib
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..gfd.gfd import GFD, gfds_by_name
@@ -91,7 +92,7 @@ class WorkUnit:
         """Every GFD this unit enforces (the group, or the single rule)."""
         return self.group or (self.gfd_name,)
 
-    @property
+    @cached_property
     def uid(self) -> str:
         """A stable content-derived identifier.
 
@@ -99,13 +100,19 @@ class WorkUnit:
         ``hash()`` randomization), so the process backend can track units
         through pickling, cross-process requeue, and result reconciliation.
         Units with equal fields — which the frozen dataclass treats as the
-        same unit — share a uid.
+        same unit — share a uid. Digested once per instance: the cache
+        lives in the instance ``__dict__``, outside the compared fields.
         """
         fields = (self.gfd_name, self.assignment, self.radius, self.generation)
         if self.group:
             fields = fields + (self.group,)
         payload = repr(fields)
         return hashlib.blake2s(payload.encode("utf-8"), digest_size=10).hexdigest()
+
+    def __getstate__(self) -> Dict[str, object]:
+        # Pickle the uid with the unit, so a unit shipped to a worker and
+        # back in its result is not digested again on either side.
+        return dict(self.__dict__, uid=self.uid)
 
     def __str__(self) -> str:
         bound = ", ".join(f"{var}→{node}" for var, node in self.assignment)

@@ -27,7 +27,6 @@ someone reads the log.
 from __future__ import annotations
 
 import pickle
-import threading
 from dataclasses import dataclass, field
 from hashlib import blake2s
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple, Union
@@ -144,21 +143,6 @@ class EvidenceLog:
     #: Pending entries materialized so far. A mark is this count plus the
     #: pending length, so flushing entries before a mark keeps it valid.
     _flushed: int = 0
-    #: Guards materialization: the threaded backend shares one log across
-    #: workers, and readers flush outside the engine lock. ``note`` stays
-    #: lock-free (list.append is atomic).
-    _lock: threading.RLock = field(default_factory=threading.RLock, repr=False)
-
-    def __getstate__(self) -> Dict[str, object]:
-        # Locks cannot cross process boundaries (worker snapshots pickle
-        # the engine, evidence log included); drop and recreate.
-        state = self.__dict__.copy()
-        state.pop("_lock", None)
-        return state
-
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.RLock()
 
     def note(
         self,
@@ -212,10 +196,9 @@ class EvidenceLog:
         """Materialize pending entries, first-wins, in arrival order."""
         if not self._pending:
             return
-        with self._lock:
-            pending, self._pending = self._pending, []
-            self._flushed += len(pending)
-            self._intern_raw(pending)
+        pending, self._pending = self._pending, []
+        self._flushed += len(pending)
+        self._intern_raw(pending)
 
     def _intern_raw(self, entries: List[Union[_Note, bytes]]) -> None:
         by_ref = self._by_ref
@@ -234,14 +217,13 @@ class EvidenceLog:
 
     def intern(self, record: MatchEvidence) -> MatchEvidence:
         """Add *record* unless its ref is known; return the canonical one."""
-        with self._lock:
-            self._flush()
-            existing = self._by_ref.get(record.ref)
-            if existing is not None:
-                return existing
-            self._records.append(record)
-            self._by_ref[record.ref] = record
-            return record
+        self._flush()
+        existing = self._by_ref.get(record.ref)
+        if existing is not None:
+            return existing
+        self._records.append(record)
+        self._by_ref[record.ref] = record
+        return record
 
     def get(self, ref: str) -> Optional[MatchEvidence]:
         self._flush()

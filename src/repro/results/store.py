@@ -8,8 +8,8 @@ by reference lookups and a backward slice over the derivation log, with
 zero re-matching: the store never touches the graph or the matcher.
 
 The generic backward-slice lives here (:func:`slice_derivation`);
-``reasoning/explain.py``'s ``slice_conflict`` is a thin wrapper kept for
-back-compat.
+:func:`repro.reasoning.explain.explain_unsatisfiability` slices with it
+too.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """Cross-backend equivalence: identical verdicts on all execution backends.
 
-The backends differ in where workers live (virtual clock, threads,
+The backends differ in where workers live (virtual clock or OS
 processes) but run the same Church-Rosser algorithms over a monotone
 ``Eq`` — so for any (graph, Σ) instance all of them must report the same
 satisfiability verdict, and for any (Σ, φ) instance the same implication
@@ -47,8 +47,8 @@ def _violation_multiset(violations):
     )
 
 
-def test_registry_exposes_three_backends():
-    assert ALL_BACKENDS == ("simulated", "threaded", "process")
+def test_registry_exposes_two_backends():
+    assert ALL_BACKENDS == ("simulated", "process")
 
 
 class TestSatEquivalence:
@@ -170,8 +170,8 @@ class TestFragmentedEquivalence:
     """Fragmented execution changes only *data placement* — which replica
     a unit matches against — never verdicts, the final ``Eq``, or the
     per-unit match streams. The whole-graph runs (sequential and
-    unfragmented parallel) are the ground truth, across all three
-    backends and fragment counts 1..8."""
+    unfragmented parallel) are the ground truth, across both backends
+    and fragment counts 1..8."""
 
     @pytest.mark.parametrize("seed", range(3))
     def test_sat_fuzz_all_backends_all_fragment_counts(self, seed):

@@ -63,9 +63,7 @@ class TestFrozenPatternBugfix:
         pattern.add_edge("x", "y", "knows")
         assert not pattern.frozen
         sim = dual_simulation(pattern, small_graph)
-        # The shared-Pattern mutation is gone: the caller's object is
-        # untouched and still mutable (a ThreadedBackend worker freezing
-        # it mid-flight was a race).
+        # The caller's object is untouched and still mutable.
         assert not pattern.frozen
         pattern.add_var("z", "c")  # would raise PatternError if frozen
         frozen = make_pattern({"x": "a", "y": "b"}, [("x", "y", "knows")])

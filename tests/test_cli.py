@@ -68,12 +68,11 @@ class TestSat:
         assert "units=" in out
 
     def test_parallel_backend_selector(self, unsat_file, sat_file, capsys):
-        for backend in ("threaded", "process"):
-            assert (
-                main(["sat", unsat_file, "--parallel", "2", "--backend", backend])
-                == EXIT_NEGATIVE
-            )
-            assert "UNSATISFIABLE" in capsys.readouterr().out
+        assert (
+            main(["sat", unsat_file, "--parallel", "2", "--backend", "process"])
+            == EXIT_NEGATIVE
+        )
+        assert "UNSATISFIABLE" in capsys.readouterr().out
         assert main(["sat", sat_file, "--parallel", "2", "--backend", "process"]) == 0
         assert "SATISFIABLE" in capsys.readouterr().out
 
@@ -172,6 +171,15 @@ class TestDetect:
         per_rule = capsys.readouterr().out
         assert main(["detect", graph_file, str(rules), "--ruleset-plan"]) == EXIT_NEGATIVE
         assert capsys.readouterr().out == per_rule
+
+    def test_duplicate_rule_names_rejected(self, graph_file, tmp_path, capsys):
+        rules = tmp_path / "rules.gfd"
+        rules.write_text(
+            "gfd r { x: a; then x.A = 1; }\ngfd r { x: a; then x.B = 2; }"
+        )
+        for flags in ([], ["--ruleset-plan"]):
+            assert main(["detect", graph_file, str(rules), *flags]) == 2
+            assert "error: duplicate GFD name" in capsys.readouterr().err
 
     def test_clean_graph(self, graph_file, tmp_path, capsys):
         rules = tmp_path / "rules.gfd"

@@ -10,6 +10,7 @@ from repro.gfd import make_gfd, make_pattern
 from repro.gfd.literals import eq as lit_eq
 from repro.matching.homomorphism import MatcherRun, find_homomorphisms
 from repro.parallel import RuntimeConfig, par_imp, par_sat
+from repro.reasoning.validation import detect_errors, detect_errors_store
 from repro.reasoning.workunits import gfd_dependency_order
 
 
@@ -160,6 +161,20 @@ class TestDuplicateNamesAndValidation:
         assert seq_imp(renamed, phi).implied
         assert seq_imp(renamed, phi, use_dependency_order=False).implied
         assert par_imp(renamed, phi, RuntimeConfig(workers=2)).implied
+
+    def test_duplicate_names_rejected_in_error_detection(self):
+        """Detection rejects colliding names as sat and imp do, on both
+        matching paths, instead of answering for an ambiguous rule set."""
+        sigma = parse_gfds("gfd r { x: a; then x.A = 1; }") + parse_gfds(
+            "gfd r { x: a; then x.B = 2; }"
+        )
+        graph = PropertyGraph()
+        graph.add_node("a", {"A": 2})
+        for use_ruleset_plan in (False, True):
+            with pytest.raises(GFDError, match="duplicate GFD name"):
+                detect_errors(graph, sigma, use_ruleset_plan=use_ruleset_plan)
+            with pytest.raises(GFDError, match="duplicate GFD name"):
+                detect_errors_store(graph, sigma, use_ruleset_plan=use_ruleset_plan)
 
     def test_trivial_gfds_are_harmless(self):
         sigma = parse_gfds(

@@ -93,7 +93,7 @@ class TestDocstrings:
             "repro.matching.homomorphism",
             "repro.reasoning.seqsat",
             "repro.reasoning.seqimp",
-            "repro.parallel.engine",
+            "repro.parallel.backends",
             "repro.parallel.parsat",
             "repro.parallel.parimp",
             "repro.chase.gfd_chase",

@@ -9,7 +9,6 @@ from repro.reasoning.explain import (
     Explanation,
     explain_unsatisfiability,
     render_explanation,
-    slice_conflict,
 )
 
 
@@ -51,7 +50,7 @@ class TestExplain:
 
     def test_slice_is_subset_of_log(self, example4_sigma):
         result = seq_sat(example4_sigma)
-        sliced = slice_conflict(result.eq, result.conflict)
+        sliced = explain_unsatisfiability(example4_sigma, result).steps
         log = result.eq.delta_since(0)
         assert len(sliced) <= len(log)
         log_index = {id(op) for op in log}

@@ -300,10 +300,10 @@ class TestQuarantine:
 
 
 # ----------------------------------------------------------------------
-# Crash/degradation on the in-process backends
+# Crash/degradation on the simulated backend
 # ----------------------------------------------------------------------
 class TestInProcessBackendSupervision:
-    @pytest.mark.parametrize("backend", ["simulated", "threaded"])
+    @pytest.mark.parametrize("backend", ["simulated"])
     def test_single_crash_survivors_finish(self, backend):
         sigma = _delta_hub()
         expected = seq_sat(sigma).satisfiable
@@ -316,7 +316,7 @@ class TestInProcessBackendSupervision:
         assert result.outcome.worker_deaths == 1
         assert not result.outcome.degraded
 
-    @pytest.mark.parametrize("backend", ["simulated", "threaded"])
+    @pytest.mark.parametrize("backend", ["simulated"])
     def test_all_workers_dead_degrades(self, backend):
         sigma = _delta_hub()
         expected = seq_sat(sigma).satisfiable
@@ -332,7 +332,7 @@ class TestInProcessBackendSupervision:
         assert result.outcome.worker_deaths == 2
         assert result.outcome.units_executed > 0
 
-    @pytest.mark.parametrize("backend", ["simulated", "threaded"])
+    @pytest.mark.parametrize("backend", ["simulated"])
     def test_strict_faults_raises(self, backend):
         sigma = _delta_hub()
         config = RuntimeConfig(

@@ -1,25 +1,14 @@
-"""Tests for the simulated and threaded parallel runtimes."""
+"""Tests for the simulated parallel runtime."""
 
 import pytest
 
 from repro.gfd.generator import random_gfds, straggler_workload
 from repro.parallel import (
     RuntimeConfig,
-    make_cluster,
-    par_imp,
     par_sat,
     par_sat_nb,
     par_sat_np,
 )
-
-
-class TestMakeCluster:
-    def test_factory(self):
-        config = RuntimeConfig()
-        assert make_cluster(config, "simulated").__class__.__name__ == "SimulatedCluster"
-        assert make_cluster(config, "threaded").__class__.__name__ == "ThreadedCluster"
-        with pytest.raises(ValueError):
-            make_cluster(config, "quantum")
 
 
 class TestSimulatedCluster:
@@ -91,27 +80,6 @@ class TestSimulatedCluster:
         assert split.outcome.splits > 0
         assert unsplit.outcome.splits == 0
         assert split.satisfiable == unsplit.satisfiable
-
-
-class TestThreadedCluster:
-    def test_same_verdict_as_simulated_sat(self, example4_sigma, example2_cross_pattern):
-        for sigma in (example4_sigma, example2_cross_pattern):
-            simulated = par_sat(sigma, RuntimeConfig(workers=3))
-            threaded = par_sat(sigma, RuntimeConfig(workers=3), runtime="threaded")
-            assert simulated.satisfiable == threaded.satisfiable
-
-    def test_same_verdict_as_simulated_imp(self, example8_sigma, example8_phi13):
-        simulated = par_imp(example8_sigma, example8_phi13, RuntimeConfig(workers=3))
-        threaded = par_imp(
-            example8_sigma, example8_phi13, RuntimeConfig(workers=3), runtime="threaded"
-        )
-        assert simulated.implied == threaded.implied
-
-    def test_threaded_satisfiable_workload(self):
-        sigma = random_gfds(25, 4, 3, seed=3)
-        result = par_sat(sigma, RuntimeConfig(workers=4), runtime="threaded")
-        assert result.satisfiable
-        assert result.outcome.units_executed == result.outcome.units_total - result.outcome.splits
 
 
 class TestVariants:

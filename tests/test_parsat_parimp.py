@@ -125,14 +125,3 @@ def test_parimp_member_of_sigma_implied(seed):
     sigma = random_gfds(6, max_pattern_nodes=4, max_literals=3, seed=seed, consistent=False)
     phi = sigma[seed % len(sigma)]
     assert par_imp(sigma, phi, RuntimeConfig(workers=2)).implied
-
-
-@settings(max_examples=6, deadline=None)
-@given(st.integers(0, 10_000))
-def test_threaded_matches_simulated(seed):
-    sigma = random_gfds(
-        8, max_pattern_nodes=4, max_literals=3, seed=seed, consistent=False
-    )
-    simulated = par_sat(sigma, RuntimeConfig(workers=3))
-    threaded = par_sat(sigma, RuntimeConfig(workers=3), runtime="threaded")
-    assert simulated.satisfiable == threaded.satisfiable

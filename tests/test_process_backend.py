@@ -8,7 +8,7 @@ import pytest
 
 from repro.eq.eqrelation import Conflict, DeltaOp, EqRelation
 from repro.gfd.canonical import build_canonical_graph
-from repro.gfd.generator import random_gfds, straggler_workload
+from repro.gfd.generator import delta_hub_workload, random_gfds, straggler_workload
 from repro.graph.graph import PropertyGraph
 from repro.graph.index import GraphIndex
 from repro.parallel import (
@@ -27,6 +27,7 @@ from repro.parallel.backends.process import (
 )
 from repro.parallel.parsat import PreparedSat
 from repro.parallel.units import UnitResult, execute_unit
+from repro.reasoning import workunits
 from repro.reasoning.enforce import EnforcementEngine
 from repro.reasoning.seqsat import seq_sat
 from repro.reasoning.workunits import WorkUnit, generate_work_units
@@ -255,6 +256,37 @@ class TestProcessBackend:
         )
         assert result.implied
         assert result.reason in ("derived", "conflict")
+
+    def test_coordinator_digests_each_unit_at_most_once(self, monkeypatch):
+        """``WorkUnit.uid`` is cached per unit and pickled with it, so a
+        unit's round trip through a worker, and a split sub-unit a worker
+        made, cost the coordinator no further digest."""
+        digests = []
+        blake2s = workunits.hashlib.blake2s
+
+        class CountingHashlib:
+            @staticmethod
+            def blake2s(data, **kwargs):
+                digests.append(data)
+                return blake2s(data, **kwargs)
+
+        monkeypatch.setattr(workunits, "hashlib", CountingHashlib)
+        hub = delta_hub_workload(
+            num_hubs=4, spokes_per_hub=10, num_writers=5, num_pairers=2,
+            num_background=8, seed=7,
+        )
+        straggler = straggler_workload(
+            num_anchor=1, num_seekers=2, num_background=5, anchor_size=8,
+            seeker_length=4, seed=5,
+        )
+        for sigma in (hub, straggler):
+            digests.clear()
+            config = RuntimeConfig(workers=2, ttl_seconds=0.05)
+            result = par_sat(sigma, config, backend="process")
+            assert result.satisfiable
+            assert digests
+            assert len(digests) == len(set(digests))
+            assert len(digests) <= result.outcome.units_total
 
     def test_spawn_start_method_uses_snapshots(self):
         # Force the pickled-snapshot path even where fork is available.

@@ -19,6 +19,7 @@ from repro.graph.graph import PropertyGraph
 from repro.parallel import RuntimeConfig, par_sat
 from repro.reasoning.explain import explain_unsatisfiability
 from repro.reasoning.validation import detect_errors_store
+from repro.results import evidence as evidence_module
 from repro.results import (
     ConflictClaim,
     EvidenceLog,
@@ -155,7 +156,7 @@ class TestEvidenceLog:
         target.absorb(log.export_since(later))
         assert target.refs() == [evidence_ref("g", {"x": "n2"})]
 
-    def test_pickle_roundtrip_recreates_lock(self):
+    def test_pickle_roundtrip(self):
         log = EvidenceLog()
         log.note("g", {"x": "n1"}, {})
         clone = pickle.loads(pickle.dumps(log))
@@ -319,6 +320,39 @@ class TestDetectionStore:
         assert store.affected_by([AddNode("a", {}, "n99")]) == []
         # ...and bare node ids work the same as ops.
         assert store.affected_by(["n2"]) == [by_node["n2"]]
+
+    def test_each_violation_is_digested_once(self, monkeypatch):
+        """Store records reuse the ref their violation already holds;
+        refs and records are those of a from-scratch construction."""
+        sigma = parse_gfds(
+            DETECT_SIGMA + "gfd h { y: b; x: a; x -[e]-> y; then x.A = 1; }"
+        )
+        graph = _dirty_graph()
+        original = evidence_module.ref_of_items
+        for use_ruleset_plan, plan in ((False, "per-rule"), (True, "ruleset")):
+            digests = []
+
+            def counting_ref_of_items(gfd, items):
+                digests.append(gfd)
+                return original(gfd, items)
+
+            monkeypatch.setattr(evidence_module, "ref_of_items", counting_ref_of_items)
+            store = detect_errors_store(graph, sigma, use_ruleset_plan=use_ruleset_plan)
+            monkeypatch.undo()
+            assert len(store.violations) == 3
+            assert len(digests) == len(store.violations)
+            expected = [
+                MatchEvidence.from_match(
+                    v.gfd_name,
+                    v.assignment,
+                    pivot=v.assignment["x" if v.gfd_name == "g" else "y"],
+                    origin="validate",
+                    plan=plan,
+                )
+                for v in store.violations
+            ]
+            assert [v.evidence_ref for v in store.violations] == [r.ref for r in expected]
+            assert store.evidence.to_json() == [r.to_json() for r in expected]
 
     def test_ruleset_plan_store_matches_per_rule(self):
         sigma = parse_gfds(DETECT_SIGMA)

@@ -12,7 +12,7 @@ each tested here against the per-rule path as the correctness oracle:
   ``detect_errors`` / :class:`IncrementalSat`) return identical verdicts
   (and identical violation lists / step outcomes) with the flag on or off;
 * **parallel** — grouped work units produce the same verdicts as per-rule
-  units on all three backends, under a seeded :class:`FaultPlan`, and
+  units on both backends, under a seeded :class:`FaultPlan`, and
   with the affinity scheduler on or off; TTL breaches degroup instead of
   losing work.
 
@@ -323,7 +323,7 @@ class TestGroupedUnits:
 
 
 class TestParallelGroupedDifferential:
-    @pytest.mark.parametrize("backend", ["simulated", "threaded", "process"])
+    @pytest.mark.parametrize("backend", ["simulated", "process"])
     @pytest.mark.parametrize("seed,consistent", [(1, True), (2, False)])
     def test_par_sat_verdicts_agree(self, backend, seed, consistent):
         sigma = small_sigma(seed=seed, count=14, consistent=consistent)

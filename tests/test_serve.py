@@ -250,6 +250,15 @@ class TestServerRoundtrips:
                 client.validate("this is not the DSL")
             assert exc.value.code == "bad_request"
 
+    def test_duplicate_rule_names_are_bad_request(self, harness):
+        duplicated = RULES + RULES
+        with harness.client() as client:
+            for ruleset_plan in (False, True):
+                with pytest.raises(ServeRequestError) as exc:
+                    client.validate(duplicated, ruleset_plan=ruleset_plan)
+                assert exc.value.code == "bad_request"
+                assert "duplicate GFD name" in str(exc.value)
+
     def test_unknown_op_is_bad_request(self, harness):
         with harness.client() as client:
             with pytest.raises(ServeRequestError) as exc:

@@ -7,7 +7,7 @@ from repro.gfd import build_canonical_graph
 from repro.gfd.generator import random_gfds, straggler_workload
 from repro.parallel import (
     RuntimeConfig,
-    SimulatedCluster,
+    SimulatedBackend,
     Trace,
     UnitContext,
     render_gantt,
@@ -24,7 +24,7 @@ def run_traced(sigma, workers=3, ttl=None):
     engine = EnforcementEngine(EqRelation(), canonical.gfds)
     trace = Trace()
     config = RuntimeConfig(workers=workers, ttl_seconds=ttl)
-    outcome = SimulatedCluster(config).run(units, context, engine, trace=trace)
+    outcome = SimulatedBackend(config).run(units, context, engine, trace=trace)
     return trace, outcome
 
 
