@@ -108,19 +108,22 @@ def outcome_record(outcome) -> Dict:
 def bench_config(sigma, backend: str, config: RuntimeConfig, repeats: int) -> Dict:
     walls: List[float] = []
     verdict = None
-    outcome = None
+    counters: Dict = {}
     for _ in range(repeats):
         started = time.perf_counter()
         result = par_sat(sigma, config, backend=backend)
         walls.append(time.perf_counter() - started)
         verdict = result.satisfiable
-        outcome = result.outcome
+        counters = outcome_record(result.outcome)
+        # Drop the run's evidence before the next repeat starts, so peak
+        # memory is one run's, not two.
+        del result
     record = {
         "verdict": verdict,
         "wall_seconds_min": round(min(walls), 4),
         "wall_seconds_all": [round(w, 4) for w in walls],
     }
-    record.update(outcome_record(outcome))
+    record.update(counters)
     return record
 
 
@@ -129,6 +132,7 @@ def bench_seq_sat(sigma, repeats: int, capture_provenance: bool = True):
     walls: List[float] = []
     result = None
     for _ in range(repeats):
+        result = None  # one run's evidence alive at a time, not two
         started = time.perf_counter()
         result = seq_sat(sigma, capture_provenance=capture_provenance)
         walls.append(time.perf_counter() - started)

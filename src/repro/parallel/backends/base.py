@@ -19,21 +19,27 @@ execution (:func:`~repro.parallel.units.execute_unit`) live outside the
 backend; all backends therefore produce *identical verdicts* — they differ
 only in where the workers live and what the timing numbers mean.
 
-Backends additionally share the *supervision* contract (PR 6): a
-worker-side unit failure is retried up to ``config.max_unit_retries``
-times and then quarantined into ``ParallelOutcome.quarantined`` instead
-of aborting the run; a dead worker's queued units re-pin to the
-survivors (``Scheduler.worker_died``); and when the pool collapses below
-``config.min_live_workers`` the backend finishes the queue in-process
-via :func:`~repro.parallel.coordinator.drain_in_process` and marks the
+Backends additionally share the *supervision* contract, and the code
+that implements its common half: a worker-side unit failure meets the
+one failure rule (:func:`~repro.parallel.coordinator.fail_unit`) —
+retried up to ``config.max_unit_retries`` times, then quarantined into
+``ParallelOutcome.quarantined`` instead of aborting the run; a dead
+worker's queued units re-pin to the survivors (``Scheduler.worker_died``);
+and when the pool collapses below ``config.min_live_workers`` the backend
+finishes the queue with the one in-process executor
+(:func:`~repro.parallel.coordinator.drain_in_process`) and marks the
 outcome ``degraded``. ``config.strict_faults`` flips all of that back to
 fail-fast with typed :class:`~repro.errors.WorkerFault` /
 :class:`~repro.errors.WorkerPoolError` exceptions. Every failure path is
 reachable deterministically through ``config.fault_plan``
 (:mod:`repro.parallel.faults`): each backend keys its per-worker
-dispatch counter against the plan via :meth:`Backend.fault_event` and
-interprets the four event kinds in its own idiom (an OS process can
-really crash and hang; a virtual worker leaves the ready heap).
+dispatch counter against the plan via :meth:`Backend.fault_event`,
+injects poisoned units and ``error`` events through
+:func:`~repro.parallel.faults.inject_faults`, and interprets ``crash``,
+``hang`` and ``slow`` in its own idiom (an OS process can really crash
+and hang; a virtual worker leaves the ready heap). Each backend keeps its
+own dispatch loop: the process backend's wall-clock supervisor (one wait
+loop over per-slot records) and the simulated backend's virtual clock.
 """
 
 from __future__ import annotations

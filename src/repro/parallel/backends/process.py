@@ -32,24 +32,29 @@ broadcast between them. This backend is that architecture on one machine:
   or when the implication goal holds on the *master* ``Eq``, which sees
   the union of all replicas.
 
-After the queue drains, *settlement rounds* broadcast leftover deltas
-until no worker's parked-match cascade produces new ops — the distributed
-equivalent of the shared-engine fixpoint, so all backends return identical
-verdicts (the algorithms are Church-Rosser over a monotone ``Eq``).
+*Settlement* is a phase of the same dispatch loop: once nothing is
+queued and nothing is in flight, every live worker that lags the master
+log receives one sync (an empty batch carrying its missing ΔEq), and
+rounds repeat until no worker's parked-match cascade produces new ops —
+the distributed equivalent of the shared-engine fixpoint, so all backends
+return identical verdicts (the algorithms are Church-Rosser over a
+monotone ``Eq``).
 
 **Supervision.** The paper assumes all ``p`` workers survive to the
-fixpoint; this backend does not. The coordinator supervises its replicas
-through four mechanisms, each driven by the same state machine
-(live → suspected → dead → respawning, see ``docs/architecture.md``):
+fixpoint; this backend does not. The coordinator keeps one record per
+worker slot (:class:`_Slot`) whose state — idle, busy, respawning or dead,
+as ``docs/architecture.md`` draws it — drives four mechanisms:
 
-* *hang detection* — every wait on worker replies carries a deadline
+* *hang detection* — the one wait on worker replies carries a deadline
   derived from the pool's observed round-trip history
   (:meth:`RuntimeConfig.batch_deadline`); a worker past it is killed and
-  treated as dead. No wait is ever infinite;
+  treated as dead, whether it was running a batch or a settlement sync.
+  No wait is ever infinite;
 * *retry + quarantine* — a worker-side exception no longer aborts the
   run: the worker reports the failing unit (with its traceback) and
-  carries on, and the coordinator retries the unit up to
-  ``config.max_unit_retries`` times before quarantining it into
+  carries on, and the coordinator applies the shared failure rule
+  (:func:`~repro.parallel.coordinator.fail_unit`): retry the unit up to
+  ``config.max_unit_retries`` times, then quarantine it into
   :attr:`ParallelOutcome.quarantined`. A worker *crash* mid-batch is
   bisected instead: the lost batch re-dispatches as singleton batches, so
   the unit that kills replicas is isolated, charged its retries, and
@@ -58,14 +63,15 @@ through four mechanisms, each driven by the same state machine
   also re-executed on the survivors — re-deriving ``ΔEq`` ops is
   idempotent over the monotone master ``Eq``;
 * *respawn with backoff* — a dead slot is restarted (up to
-  ``config.max_worker_respawns`` times, exponential backoff) from the
-  coordinator's *current* state: fork inheritance or a fresh snapshot of
-  the master engine, so the replica arrives fully caught up and the
+  ``config.max_worker_respawns`` times, exponential backoff) by the same
+  launcher as the cold start, from the coordinator's *current* state:
+  fork inheritance, a fresh snapshot of the master engine, or the
+  fragment kit, so the replica arrives fully caught up and the
   scheduler re-opens it for locality pinning (``worker_revived``);
 * *graceful degradation* — when the pool still collapses below
   ``config.min_live_workers`` (including the all-dead case), the
-  coordinator finishes the remaining queue in-process through the
-  simulated path (:func:`~repro.parallel.coordinator.drain_in_process`)
+  coordinator finishes the remaining queue with the shared in-process
+  executor (:func:`~repro.parallel.coordinator.drain_in_process`)
   instead of failing, marking the outcome ``degraded``.
 
 ``config.strict_faults`` restores fail-fast: the first fault raises a
@@ -86,7 +92,10 @@ copy (:func:`repro.graph.delta.replay`), drops its topology-derived caches
 same ops through the journal/:meth:`GraphIndex.apply_delta` path — no
 re-fork, no snapshot re-pickling, no O(|G|) recompile. The caller owns the
 pool's lifetime (:meth:`ProcessBackend.close`); a context switch or a
-history gap falls back to a cold start transparently.
+history gap falls back to a cold start transparently. A standing pool is
+reused only whole: a refresh that finds a dead, hung or erroring replica
+kills it, counts it in ``worker_deaths`` and cold-starts a full pool, and
+a run that ends with a dead slot does not keep its pool.
 
 **Fragmented execution.** With ``RuntimeConfig.fragments`` (the
 coordinator context carries a ``fragment_router``) workers no longer
@@ -99,7 +108,10 @@ fragment's units to, and recorded in the coordinator's *holdings* table.
 Units whose preassigned bindings escape their fragment's replica (splits
 inherited from a unit that ran elsewhere) get a one-shot serialized
 dQ-ball instead; units no fragment can serve (disconnected patterns
-search the whole graph) run coordinator-side before the pool spins up.
+search the whole graph) run coordinator-side before the pool spins up,
+through the shared in-process executor
+(:func:`~repro.parallel.coordinator.execute_in_process`) and counted in
+``coordinator_units``.
 When a worker holding fragments dies its holdings are forgotten, so the
 next dispatch of those fragments' units re-ships each full replica to a
 survivor — fragment loss costs a re-ship, never a quarantine.
@@ -129,12 +141,13 @@ from ...reasoning.enforce import EnforcementEngine
 from ...reasoning.workunits import WorkUnit
 from ..coordinator import (
     ParallelOutcome,
-    QuarantinedUnit,
     absorb_result,
     drain_in_process,
+    execute_in_process,
+    fail_unit,
     register_splits,
 )
-from ..faults import FaultPlan, InjectedFault, RetryTracker
+from ..faults import FaultPlan, RetryTracker, inject_faults
 from ..scheduler import Scheduler
 from ..units import UnitContext, execute_unit
 from .base import Backend, GoalCheck
@@ -401,13 +414,7 @@ def _handle_batch(
         else:
             for position, unit in enumerate(batch):
                 try:
-                    if plan is not None:
-                        plan.check_unit(unit)
-                    if event is not None and event.kind == "error" and position == 0:
-                        raise InjectedFault(
-                            f"injected worker-side error (worker {worker_id}, "
-                            f"batch {batch_index})"
-                        )
+                    inject_faults(plan, event, unit, position)
                     context = (
                         state.context
                         if state.fragments is None
@@ -509,7 +516,7 @@ def _handle_refresh(state: _WorkerState, message: tuple) -> None:
 
 
 def _worker_main(conn, payload: Optional[bytes], worker_id: int = 0) -> None:
-    """Worker process entry: serve batch/sync/refresh requests until stopped."""
+    """Worker process entry: serve batch and refresh requests until stopped."""
     try:
         state = _FORK_STATE if payload is None else load_worker_snapshot(payload)
         assert state is not None
@@ -527,18 +534,11 @@ def _worker_main(conn, payload: Optional[bytes], worker_id: int = 0) -> None:
                 return
             try:
                 if kind == "units":
+                    # A settlement sync is an empty batch with no index.
+                    _, batch, ops, batch_index, extras = message
                     conn.send(
-                        _handle_batch(
-                            state,
-                            message[1],
-                            message[2],
-                            worker_id,
-                            message[3],
-                            message[4] if len(message) > 4 else None,
-                        )
+                        _handle_batch(state, batch, ops, worker_id, batch_index, extras)
                     )
-                elif kind == "sync":
-                    conn.send(_handle_batch(state, (), message[1], worker_id, None))
                 elif kind == "refresh":
                     _handle_refresh(state, message)
                     conn.send(("refreshed",))
@@ -549,6 +549,74 @@ def _worker_main(conn, payload: Optional[bytes], worker_id: int = 0) -> None:
                 return
     finally:
         conn.close()
+
+
+#: Slot states of the supervision state machine (``docs/architecture.md``).
+IDLE = "idle"  # live, waiting for work
+BUSY = "busy"  # live, a batch or settlement sync in flight
+RESPAWNING = "respawning"  # dead, restart due once the backoff elapses
+DEAD = "dead"  # dead for the rest of the run
+
+
+class _Slot:
+    """The coordinator's record of one worker slot.
+
+    ``state`` is the slot's place in the supervision state machine. The
+    sync fields describe the slot's current process — the master log
+    position it has seen, the ops it was last shipped, the log regions it
+    produced itself (never echoed back), the batch in flight — and reset
+    when a new process takes the slot over. The counters belong to the
+    slot for the whole run and survive respawns, so a fault-plan event
+    fires at most once per slot.
+    """
+
+    __slots__ = (
+        "worker_id",
+        "state",
+        "proc",
+        "conn",
+        "holdings",
+        "synced",
+        "shipped",
+        "sent_at",
+        "own_regions",
+        "batch",
+        "completed",
+        "batches",
+        "respawns",
+        "due",
+    )
+
+    def __init__(self, worker_id: int) -> None:
+        self.worker_id = worker_id
+        self.proc = self.conn = None
+        #: Fragment ids whose replicas the slot's process holds.
+        self.holdings: Set[int] = set()
+        self.due = 0.0
+        self.new_run(0)
+
+    @property
+    def live(self) -> bool:
+        return self.state in (IDLE, BUSY)
+
+    def new_run(self, position: int) -> None:
+        """Zero the per-run counters of a slot caught up to *position*."""
+        #: Units absorbed from this slot this run: its parked matches die
+        #: with its process, so they re-execute on the survivors.
+        self.completed: Dict[str, WorkUnit] = {}
+        #: Unit batches dispatched (the FaultPlan batch index).
+        self.batches = 0
+        self.respawns = 0
+        self.caught_up(position)
+
+    def caught_up(self, position: int) -> None:
+        """The slot's process holds the master log up to *position*."""
+        self.state = IDLE
+        self.synced = position
+        self.shipped = 0
+        self.sent_at = 0.0
+        self.own_regions: List[tuple] = []
+        self.batch: List[WorkUnit] = []
 
 
 class ProcessBackend(Backend):
@@ -568,14 +636,54 @@ class ProcessBackend(Backend):
 
     def __init__(self, config) -> None:
         super().__init__(config)
-        # Persistent-pool state: None, or a dict with conns/procs/dead/
-        # method/context/graph_version (see run()).
+        # Persistent-pool state: None, or a dict with slots/method/context/
+        # graph_version/shipped_gfds/router (see run()).
         self._pool: Optional[Dict[str, object]] = None
+
+    def _launch(self, method, slots, context, engine, goal_check, router) -> None:
+        """Start a worker process for each of *slots*.
+
+        The one place worker processes start: the cold start passes every
+        slot, a respawn its own. The start payload is built once, from
+        the current state: the fragment kit when *router* is set (explicit
+        payloads even under fork — fragment replicas ship later, on
+        demand, and never depend on whole-graph state), fork-inherited
+        state under fork, else a whole-graph snapshot. Each replica thus
+        starts with the master ``Eq`` as it stands and needs no catch-up
+        broadcast.
+        """
+        global _FORK_STATE
+        config = self.config
+        knobs = (goal_check, config.ttl_ticks, config.max_split_units, config.fault_plan)
+        payload: Optional[bytes] = None
+        if router is not None:
+            payload = make_fragment_snapshot(context, engine, *knobs)
+        elif method == "fork":
+            _FORK_STATE = _WorkerState(context, engine, *knobs)
+        else:
+            payload = make_worker_snapshot(context, engine, *knobs)
+        ctx = mp.get_context(method)
+        position = engine.eq.log_position()
+        try:
+            for slot in slots:
+                parent_conn, child_conn = ctx.Pipe()
+                proc = ctx.Process(
+                    target=_worker_main,
+                    args=(child_conn, payload, slot.worker_id),
+                    daemon=True,
+                )
+                proc.start()
+                child_conn.close()
+                slot.proc, slot.conn = proc, parent_conn
+                slot.holdings = set()
+                slot.caught_up(position)
+        finally:
+            _FORK_STATE = None
 
     # ------------------------------------------------------------------
     # Persistent-pool lifecycle
     # ------------------------------------------------------------------
-    def _refresh_pool(self, pool, context, engine, goal_check) -> bool:
+    def _refresh_pool(self, pool, context, engine, goal_check, outcome) -> bool:
         """Ship graph deltas + the fresh engine to every standing replica.
 
         In shared-graph mode every replica receives the whole op stream;
@@ -586,16 +694,19 @@ class ProcessBackend(Backend):
         sub-replica ships whole), plus the re-pinned whole-graph
         pivot/order decisions.
 
-        Returns False — caller must cold-start — when the pool was built
-        for a different context, the graph cannot serve the delta history
-        back to the last shipped version, or no worker survives the
-        exchange. On success the shipped history is trimmed (clamped by
-        any MVCC version pins the serving layer holds on the graph).
+        A standing pool is reused only whole. Returns False — caller must
+        cold-start — when the pool was built for a different context, the
+        graph cannot serve the delta history back to the last shipped
+        version, the refresh cannot pickle, or any replica is lost in the
+        exchange: a dead, hung or erroring replica is killed and counted in
+        ``outcome.worker_deaths``. On success the shipped history is
+        trimmed (clamped by any MVCC version pins the serving layer holds
+        on the graph).
         """
         if pool["context"] is not context:
             return False
         router = getattr(context, "fragment_router", None)
-        pool_router = pool.get("router")
+        pool_router = pool["router"]
         # Fragmentation toggled (or re-cut differently) between runs: the
         # standing replicas hold the wrong kind of state — cold-start.
         if (pool_router is None) != (router is None):
@@ -607,8 +718,7 @@ class ProcessBackend(Backend):
         if ops is None:
             return False
         config = self.config
-        conns: List = pool["conns"]
-        dead: Set[int] = pool["dead"]
+        slots: List[_Slot] = pool["slots"]
         # Ship only GFDs the replicas have not seen — the registry is
         # append-only in this flow — and strip the engine's own gfd dict
         # for the transfer (the worker rebinds it to its merged registry),
@@ -617,7 +727,13 @@ class ProcessBackend(Backend):
         new_gfds = {
             name: gfd for name, gfd in context.gfds.items() if name not in shipped
         }
-        per_frag = None
+        knobs = (
+            engine,
+            goal_check,
+            config.ttl_ticks,
+            config.max_split_units,
+            config.fault_plan,
+        )
         if pool_router is not None:
             # The standing replicas were cut by the *pool's* fragmenter;
             # adopt it for this run's routing (the fresh router the entry
@@ -628,100 +744,74 @@ class ProcessBackend(Backend):
             context.fragment_router = pool_router
         engine_gfds = engine.gfds
         engine.gfds = {}
-        recipients = [wid for wid in range(len(conns)) if wid not in dead]
-        blobs: Dict[int, bytes] = {}
         try:
             # A pickling failure (e.g. an unpicklable goal_check closure
             # under a fork-started pool) must degrade to the cold-start
             # fallback, not escape run() with the pool half-refreshed.
-            try:
-                if pool_router is None:
-                    # Serialize once for all workers.
+            if pool_router is None:
+                # Serialize once for all workers.
+                blob = pickle.dumps(
+                    ("refresh", ops, new_gfds, *knobs), protocol=pickle.HIGHEST_PROTOCOL
+                )
+                blobs = [blob] * len(slots)
+            else:
+                # Fragmented refreshes are per-worker: each standing
+                # replica receives only the streams of the fragments it
+                # holds (untouched fragments ship nothing; a rebuild ships
+                # the fresh replica whole), plus the whole-graph
+                # pivot/order decisions re-pinned against the mutated graph.
+                blobs = []
+                for slot in slots:
+                    updates: Dict[int, object] = {}
+                    for fid in slot.holdings:
+                        payload = per_frag.get(fid, [])
+                        if payload is None:
+                            updates[fid] = pool_router.build(fid)
+                        elif payload:
+                            updates[fid] = payload
                     message = (
                         "refresh",
-                        ops,
+                        (),
                         new_gfds,
-                        engine,
-                        goal_check,
-                        config.ttl_ticks,
-                        config.max_split_units,
-                        config.fault_plan,
+                        *knobs,
+                        {
+                            "updates": updates,
+                            "plan_orders": context.plan_orders,
+                            "pivot_overrides": context.pivot_overrides,
+                        },
                     )
-                    blob = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
-                    for worker_id in recipients:
-                        blobs[worker_id] = blob
-                else:
-                    # Fragmented refreshes are per-worker: each standing
-                    # replica receives only the streams of the fragments
-                    # it holds (untouched fragments ship nothing; a
-                    # rebuild ships the fresh replica whole), plus the
-                    # whole-graph pivot/order decisions re-pinned against
-                    # the mutated graph.
-                    holdings: List[Set[int]] = pool["holdings"]
-                    for worker_id in recipients:
-                        updates: Dict[int, object] = {}
-                        for fid in holdings[worker_id]:
-                            payload = per_frag.get(fid, [])
-                            if payload is None:
-                                updates[fid] = pool_router.build(fid)
-                            elif payload:
-                                updates[fid] = payload
-                        message = (
-                            "refresh",
-                            (),
-                            new_gfds,
-                            engine,
-                            goal_check,
-                            config.ttl_ticks,
-                            config.max_split_units,
-                            config.fault_plan,
-                            {
-                                "updates": updates,
-                                "plan_orders": context.plan_orders,
-                                "pivot_overrides": context.pivot_overrides,
-                            },
-                        )
-                        blobs[worker_id] = pickle.dumps(
-                            message, protocol=pickle.HIGHEST_PROTOCOL
-                        )
-            except Exception:
-                return False
+                    blobs.append(pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL))
+        except Exception:
+            return False
         finally:
             engine.gfds = engine_gfds
-        for worker_id in recipients:
+        for slot, blob in zip(slots, blobs):
             try:
                 # send_bytes pairs with the worker's recv(): Connection
                 # .recv() unpickles whatever bytes arrive.
-                conns[worker_id].send_bytes(blobs[worker_id])
+                slot.conn.send_bytes(blob)
             except (OSError, ValueError):
-                dead.add(worker_id)
+                slot.state = DEAD
         # The acks share one deadline (replicas process the refresh
         # concurrently): a standing worker that is alive but unresponsive
         # must not wedge run() at the door — no wait is ever infinite.
-        procs: List = pool["procs"]
         ack_deadline = time.monotonic() + config.batch_deadline(0.0)
-        for worker_id in recipients:
-            if worker_id in dead:
-                continue
-            try:
-                if not conns[worker_id].poll(
-                    max(0.0, ack_deadline - time.monotonic())
-                ):
-                    # Hung mid-refresh: kill the replica and degrade like a
-                    # death (to the cold-start fallback if nobody survives).
-                    self._kill_worker(procs[worker_id], conns[worker_id])
-                    dead.add(worker_id)
-                    continue
-                reply = conns[worker_id].recv()
-            except (EOFError, ConnectionError, OSError):
-                dead.add(worker_id)
-                continue
-            if reply[0] == "error":
-                # The worker exits after reporting an error; mark it dead
-                # rather than raising, so a fully-failed refresh degrades
-                # to the cold-start fallback instead of wedging the pool.
-                dead.add(worker_id)
-        if len(dead) >= len(conns):
+        for slot in slots:
+            if slot.state == IDLE:
+                try:
+                    if (
+                        slot.conn.poll(max(0.0, ack_deadline - time.monotonic()))
+                        and slot.conn.recv()[0] == "refreshed"
+                    ):
+                        continue
+                except (EOFError, ConnectionError, OSError):
+                    pass
+            # Lost in the exchange — its pipe closed, it hung past the
+            # deadline, or it reported an error (and exits after that).
+            self._kill_worker(slot)
+            slot.state = DEAD
+            outcome.worker_deaths += 1
+        if any(slot.state == DEAD for slot in slots):
             return False
         pool["graph_version"] = graph.mutation_count
         shipped.update(new_gfds)
@@ -729,114 +819,53 @@ class ProcessBackend(Backend):
         return True
 
     @staticmethod
-    def _shutdown_workers(conns, procs, dead) -> None:
+    def _shutdown_workers(slots) -> None:
         """Stop, join (with a deadline), and disconnect a worker set."""
-        for worker_id, conn in enumerate(conns):
-            if worker_id in dead:
-                continue
-            try:
-                conn.send(("stop",))
-            except (OSError, BrokenPipeError):
-                pass
+        for slot in slots:
+            if slot.live:
+                try:
+                    slot.conn.send(("stop",))
+                except (OSError, BrokenPipeError):
+                    pass
         deadline = time.monotonic() + _JOIN_TIMEOUT
-        for proc in procs:
-            proc.join(timeout=max(0.0, deadline - time.monotonic()))
-            if proc.is_alive():  # pragma: no cover - stuck worker
-                proc.terminate()
-                proc.join(timeout=1.0)
-        for conn in conns:
+        for slot in slots:
+            slot.proc.join(timeout=max(0.0, deadline - time.monotonic()))
+            if slot.proc.is_alive():  # pragma: no cover - stuck worker
+                slot.proc.terminate()
+                slot.proc.join(timeout=1.0)
+        for slot in slots:
             try:
-                conn.close()
+                slot.conn.close()
             except OSError:  # pragma: no cover - already closed
                 pass
 
     @staticmethod
-    def _kill_worker(proc, conn) -> None:
+    def _kill_worker(slot) -> None:
         """Force-terminate one worker (hang detection / crash cleanup)."""
-        if proc is not None:
-            try:
-                if proc.is_alive():
-                    proc.terminate()
+        proc = slot.proc
+        try:
+            if proc.is_alive():
+                proc.terminate()
+                proc.join(timeout=1.0)
+                if proc.is_alive():  # pragma: no cover - SIGTERM ignored
+                    proc.kill()
                     proc.join(timeout=1.0)
-                    if proc.is_alive():  # pragma: no cover - SIGTERM ignored
-                        proc.kill()
-                        proc.join(timeout=1.0)
-                else:
-                    proc.join(timeout=0.1)
-            except Exception:  # pragma: no cover - already reaped
-                pass
-        if conn is not None:
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover - already closed
-                pass
+            else:
+                proc.join(timeout=0.1)
+        except Exception:  # pragma: no cover - already reaped
+            pass
+        try:
+            slot.conn.close()
+        except OSError:  # pragma: no cover - already closed
+            pass
 
     def close(self) -> None:
         """Tear down the persistent worker pool, if one is standing."""
         pool, self._pool = self._pool, None
         if pool is None:
             return
-        self._shutdown_workers(pool["conns"], pool["procs"], pool["dead"])
+        self._shutdown_workers(pool["slots"])
         pool["context"].graph.retain_deltas(False)
-
-    def _run_local_units(
-        self, units, context, engine, goal_check, outcome, tracker
-    ) -> bool:
-        """Execute units no fragment can serve, coordinator-side.
-
-        Fragmented mode only: radius-less units (disconnected patterns)
-        search the whole graph, which no fragment replica holds, so they
-        run here against the master engine before the pool spins up.
-        Splits stay local (they inherit the parent's missing radius);
-        retry/quarantine and fault injection apply exactly as they would
-        worker-side. Returns True when the run terminated early.
-        """
-        config = self.config
-        eq = engine.eq
-        plan = config.fault_plan
-        pending: Deque[WorkUnit] = deque(units)
-        while pending:
-            unit = pending.popleft()
-            try:
-                if plan is not None:
-                    plan.check_unit(unit)
-                result = execute_unit(
-                    unit,
-                    context,
-                    engine,
-                    ttl_ticks=config.ttl_ticks,
-                    max_split_units=config.max_split_units,
-                    goal_check=goal_check,
-                )
-            except Exception as exc:
-                detail = traceback.format_exc()
-                if config.strict_faults:
-                    raise WorkerFault(
-                        f"unit {unit.uid} failed during coordinator-side "
-                        f"execution: {exc}",
-                        unit_uid=unit.uid,
-                        worker_traceback=detail,
-                    ) from exc
-                if tracker.record_failure(unit):
-                    outcome.retries += 1
-                    pending.append(unit)
-                else:
-                    outcome.quarantined.append(
-                        QuarantinedUnit(unit, detail, tracker.attempts(unit))
-                    )
-                continue
-            outcome.coordinator_units += 1
-            absorb_result(outcome, result)
-            if result.conflict or eq.has_conflict():
-                outcome.conflict = eq.conflict
-                return True
-            if result.goal_reached or (goal_check is not None and goal_check(eq)):
-                outcome.goal_reached = True
-                return True
-            register_splits(
-                outcome, result, lambda splits: pending.extendleft(reversed(splits))
-            )
-        return False
 
     def run(
         self,
@@ -846,7 +875,6 @@ class ProcessBackend(Backend):
         goal_check: Optional[GoalCheck] = None,
         trace=None,
     ) -> ParallelOutcome:
-        global _FORK_STATE
         config = self.config
         started = time.perf_counter()
         eq = engine.eq
@@ -869,6 +897,8 @@ class ProcessBackend(Backend):
             # Units no fragment can serve (disconnected patterns search
             # the whole graph) run coordinator-side before the pool spins
             # up; only fragment-servable units are dispatched remotely.
+            # Splits of a local unit stay local (they inherit its missing
+            # radius), and the pass shares the run's retry accounting.
             local = [
                 unit
                 for unit in units
@@ -879,298 +909,109 @@ class ProcessBackend(Backend):
                 for unit in units
                 if not (unit.pivot_node() is None or unit.radius is None)
             ]
-            if local and self._run_local_units(
-                local, context, engine, goal_check, outcome, tracker
-            ):
+            execute_in_process(
+                outcome, local, context, engine, config, tracker, goal_check
+            )
+            outcome.coordinator_units = outcome.units_executed
+            if outcome.terminated_early:
                 outcome.wall_seconds = time.perf_counter() - started
                 outcome.virtual_seconds = outcome.wall_seconds
                 return outcome
 
         persistent = config.persistent_workers
         pool = self._pool if persistent else None
-        conns: Optional[List] = None
-        procs: List = []
-        dead: Set[int] = set()
-        method: Optional[str] = None
-        holdings: Optional[List[Set[int]]] = None
-        if pool is not None:
-            # Standing pool: ship deltas + the fresh engine instead of
-            # restarting; fall back to a cold start when that is impossible.
-            if self._refresh_pool(pool, context, engine, goal_check):
-                conns = pool["conns"]
-                procs = pool["procs"]
-                dead = pool["dead"]
-                method = pool["method"]
-                # The refresh adopted the pool's fragmenter (the holdings
-                # on the standing replicas were cut by it).
-                router = getattr(context, "fragment_router", None)
-                holdings = pool.get("holdings")
-            else:
-                self.close()
-                pool = None
-        if conns is None:
-            methods = mp.get_all_start_methods()
-            if self.config.start_method is not None:
-                method = self.config.start_method
-            elif "fork" in methods:
-                method = "fork"
-            else:
-                method = "spawn"
-            ctx = mp.get_context(method)
+        if pool is not None and self._refresh_pool(
+            pool, context, engine, goal_check, outcome
+        ):
+            # Standing pool: deltas + the fresh engine shipped instead of
+            # restarting. The refresh adopted the pool's fragmenter (the
+            # holdings on the standing replicas were cut by it).
+            slots: List[_Slot] = pool["slots"]
+            method = pool["method"]
+            router = getattr(context, "fragment_router", None)
+            for slot in slots:
+                slot.new_run(eq.log_position())
+        else:
+            self.close()
+            pool = None
+            method = config.start_method or (
+                "fork" if "fork" in mp.get_all_start_methods() else "spawn"
+            )
             if persistent:
                 # Retain a replayable op history from this point on, so the
                 # next run can ship deltas instead of snapshots.
                 context.graph.retain_deltas(True)
-            if router is not None:
-                # Fragmented cold start: every worker receives the same
-                # graph-free kit; fragment replicas ship later, on demand,
-                # inside dispatch extras (the holdings table tracks who
-                # holds what). Explicit payloads even under fork — the
-                # point is that replicas never depend on whole-graph state.
-                holdings = [set() for _ in range(config.workers)]
-                payload: Optional[bytes] = make_fragment_snapshot(
-                    context,
-                    engine,
-                    goal_check,
-                    config.ttl_ticks,
-                    config.max_split_units,
-                    config.fault_plan,
-                )
-            elif method == "fork":
-                payload = None
-                _FORK_STATE = _WorkerState(
-                    context,
-                    engine,
-                    goal_check,
-                    config.ttl_ticks,
-                    config.max_split_units,
-                    config.fault_plan,
-                )
-            else:
-                payload = make_worker_snapshot(
-                    context,
-                    engine,
-                    goal_check,
-                    config.ttl_ticks,
-                    config.max_split_units,
-                    config.fault_plan,
-                )
-
-            conns = []
-            try:
-                for worker_id in range(config.workers):
-                    parent_conn, child_conn = ctx.Pipe()
-                    proc = ctx.Process(
-                        target=_worker_main,
-                        args=(child_conn, payload, worker_id),
-                        daemon=True,
-                    )
-                    proc.start()
-                    child_conn.close()
-                    conns.append(parent_conn)
-                    procs.append(proc)
-            finally:
-                _FORK_STATE = None
+            slots = [_Slot(worker_id) for worker_id in range(config.workers)]
+            self._launch(method, slots, context, engine, goal_check, router)
             if persistent:
                 pool = {
-                    "conns": conns,
-                    "procs": procs,
-                    "dead": dead,
+                    "slots": slots,
                     "method": method,
                     "context": context,
                     "graph_version": context.graph.mutation_count,
                     "shipped_gfds": set(context.gfds),
                     "router": router,
-                    "holdings": holdings,
                 }
 
-        conn_worker = {conn: wid for wid, conn in enumerate(conns)}
         scheduler = Scheduler(units, config, context)
-        for worker_id in dead:
-            # A persistent pool may resume with casualties from earlier
-            # runs: never pin locality keys to a worker that cannot serve.
-            scheduler.worker_died(worker_id)
-        synced = [eq.log_position()] * config.workers
-        shipped_ops = [0] * config.workers
-        dispatched_at = [0.0] * config.workers
-        # Echo suppression: master-log regions a worker itself produced
-        # (recorded at merge time in receive()). Broadcasting those back to
-        # their producer is pure wasted volume — the replica already holds
-        # them — so dispatch() filters the regions out of its ΔEq slice.
-        own_regions: List[List[tuple]] = [[] for _ in range(config.workers)]
-        idle: List[int] = [wid for wid in range(config.workers) if wid not in dead]
-        in_flight: Dict[int, List[WorkUnit]] = {}
-        terminated = False
-        # --- supervision state (tracker created before the coordinator-
-        # side local-unit pass, which shares its retry accounting) ---
         #: Units from a crashed worker's batch, re-dispatched as singleton
         #: batches so a replica-killing unit can be isolated (bisection).
         suspects: Deque[WorkUnit] = deque()
-        #: Per-worker units absorbed so far this run: a dead replica's
-        #: parked matches die with it, so its completed units re-execute
-        #: on the survivors (idempotent over the monotone master Eq).
-        completed: List[Dict[str, WorkUnit]] = [{} for _ in range(config.workers)]
-        #: Dispatch counters per slot — drive FaultPlan (worker, batch)
-        #: event keys and keep counting across respawns, so an injected
-        #: event fires at most once per slot.
-        batch_counters = [0] * config.workers
-        respawn_counts = [0] * config.workers
-        #: Dead slots awaiting restart: worker_id → not-before timestamp.
-        #: The exponential backoff elapses inside the main loop's wait
-        #: cycle — never as a coordinator-blocking sleep, which would stall
-        #: hang detection for the surviving in-flight workers.
-        pending_respawns: Dict[int, float] = {}
         #: Slowest completed round trip (seconds) — the adaptive hang
         #: deadline's history input.
         slowest_trip = 0.0
 
-        def live_count() -> int:
-            return config.workers - len(dead)
-
-        def collapsed() -> bool:
-            return live_count() < max(1, config.min_live_workers)
-
         def pending_work() -> bool:
             return bool(len(scheduler) or suspects)
 
-        def schedule_respawn(worker_id: int) -> None:
-            """Queue a dead slot for restart once its backoff elapses."""
-            if respawn_counts[worker_id] >= config.max_worker_respawns:
-                return
-            backoff = config.respawn_backoff_seconds * (
-                2 ** respawn_counts[worker_id]
-            )
-            pending_respawns[worker_id] = time.perf_counter() + backoff
-
-        def perform_due_respawns() -> None:
-            """Restart every pending slot whose backoff has elapsed."""
-            now = time.perf_counter()
-            for worker_id in [
-                wid for wid, due in pending_respawns.items() if due <= now
-            ]:
-                del pending_respawns[worker_id]
-                respawn(worker_id)
-
-        def respawn(worker_id: int) -> bool:
-            """Restart a dead slot from the coordinator's current state."""
-            global _FORK_STATE
-            if respawn_counts[worker_id] >= config.max_worker_respawns:
-                return False
-            respawn_counts[worker_id] += 1
-            ctx = mp.get_context(method)
-            # The replica is rebuilt from *current* master state (master
-            # Eq included), so it needs no catch-up broadcast: fork
-            # inherits it copy-on-write, spawn ships a fresh snapshot. A
-            # fragmented respawn restarts from the bare kit — its slot's
-            # holdings were cleared at burial, so fragments re-ship on
-            # demand with the units that need them.
-            try:
-                if router is not None:
-                    blob: Optional[bytes] = make_fragment_snapshot(
-                        context,
-                        engine,
-                        goal_check,
-                        config.ttl_ticks,
-                        config.max_split_units,
-                        config.fault_plan,
-                    )
-                elif method == "fork":
-                    blob = None
-                    _FORK_STATE = _WorkerState(
-                        context,
-                        engine,
-                        goal_check,
-                        config.ttl_ticks,
-                        config.max_split_units,
-                        config.fault_plan,
-                    )
-                else:
-                    blob = make_worker_snapshot(
-                        context,
-                        engine,
-                        goal_check,
-                        config.ttl_ticks,
-                        config.max_split_units,
-                        config.fault_plan,
-                    )
-                parent_conn, child_conn = ctx.Pipe()
-                proc = ctx.Process(
-                    target=_worker_main, args=(child_conn, blob, worker_id), daemon=True
-                )
-                proc.start()
-                child_conn.close()
-            except Exception:  # pragma: no cover - out of pids/memory
-                return False
-            finally:
-                _FORK_STATE = None
-            conns[worker_id] = parent_conn
-            procs[worker_id] = proc
-            conn_worker[parent_conn] = worker_id
-            dead.discard(worker_id)
-            scheduler.worker_revived(worker_id)
-            synced[worker_id] = eq.log_position()
-            own_regions[worker_id] = []
-            shipped_ops[worker_id] = 0
-            if worker_id not in idle:
-                idle.append(worker_id)
-            outcome.respawns += 1
-            return True
-
-        def bury(worker_id: int, lost: List[WorkUnit], cause: str, crashed: bool = True) -> None:
+        def bury(slot: _Slot, cause: str, crashed: bool = True) -> None:
             """Declare a worker dead, recover its work, schedule a respawn.
 
             The scheduler re-pins the dead worker's locality keys (and any
             still-queued pinned units) onto the survivors. In-flight units
             of a *crashed* worker go to the suspect lane (singleton
             re-dispatch — bisection — with a singleton's death charged to
-            its unit); units a dispatch failure never delivered are simply
-            requeued. The worker's completed units re-run elsewhere (its
-            parked matches died with it). Idempotent per worker.
+            its unit through the failure rule); units a dispatch failure
+            never delivered are simply requeued. The worker's completed
+            units re-run elsewhere (its parked matches died with it). The
+            respawn waits out an exponential backoff inside the dispatch
+            loop's wait — never as a coordinator-blocking sleep, which
+            would stall hang detection for the surviving workers.
             """
-            if worker_id in dead:
-                return
-            dead.add(worker_id)
+            worker_id = slot.worker_id
+            lost, slot.batch = slot.batch, []
+            slot.state = DEAD
             outcome.worker_deaths += 1
             scheduler.worker_died(worker_id)
-            if holdings is not None:
-                # The dead replica's fragments died with it: forgetting
-                # its holdings makes the next dispatch of those fragments'
-                # units re-ship each full replica to whichever survivor
-                # receives them — fragment loss never quarantines a unit.
-                holdings[worker_id].clear()
-            if worker_id in idle:
-                idle.remove(worker_id)
-            self._kill_worker(procs[worker_id], conns[worker_id])
+            # The dead replica's fragments died with it: forgetting its
+            # holdings makes the next dispatch of those fragments' units
+            # re-ship each full replica to whichever survivor receives
+            # them — fragment loss never quarantines a unit.
+            slot.holdings.clear()
+            self._kill_worker(slot)
             if config.strict_faults:
                 raise WorkerFault(
                     f"process worker {worker_id} failed: {cause}",
                     worker_id=worker_id,
                     worker_traceback=cause,
                 )
-            if lost:
-                if crashed:
-                    if len(lost) == 1:
-                        unit = lost[0]
-                        if tracker.record_failure(unit):
-                            outcome.retries += 1
-                            suspects.append(unit)
-                        else:
-                            outcome.quarantined.append(
-                                QuarantinedUnit(
-                                    unit, cause, tracker.attempts(unit), worker_id
-                                )
-                            )
-                    else:
-                        suspects.extend(lost)
-                else:
-                    scheduler.requeue(lost)
-            orphans = list(completed[worker_id].values())
-            completed[worker_id].clear()
-            if orphans:
-                scheduler.requeue(orphans)
-            schedule_respawn(worker_id)
+            if not crashed:
+                scheduler.requeue(lost)
+            elif len(lost) == 1:
+                if fail_unit(outcome, tracker, config, lost[0], cause, worker_id):
+                    suspects.append(lost[0])
+            else:
+                suspects.extend(lost)
+            orphans = list(slot.completed.values())
+            slot.completed.clear()
+            scheduler.requeue(orphans)
+            if slot.respawns < config.max_worker_respawns:
+                slot.state = RESPAWNING
+                slot.due = time.perf_counter() + config.respawn_backoff_seconds * (
+                    2**slot.respawns
+                )
 
-        def fragment_extras(worker_id: int, batch: List[WorkUnit]):
+        def fragment_extras(slot: _Slot, batch: List[WorkUnit]):
             """Graph data riding along with a fragmented dispatch.
 
             Per unit: nothing when the receiving worker already holds the
@@ -1183,20 +1024,17 @@ class ProcessBackend(Backend):
             frags: Dict[int, object] = {}
             balls: Dict[str, object] = {}
             for unit in batch:
-                pivot = unit.pivot_node()
-                if pivot is None or unit.radius is None:  # pragma: no cover
-                    continue  # local units never reach dispatch
-                fid = router.fragment_of(pivot)
+                fid = router.fragment_of(unit.pivot_node())
                 if router.covers_unit(fid, unit):
-                    if fid in holdings[worker_id]:
+                    if fid in slot.holdings:
                         continue
                     if not any(
-                        fid in holdings[wid]
-                        for wid in range(config.workers)
-                        if wid != worker_id and wid not in dead
+                        fid in other.holdings
+                        for other in slots
+                        if other is not slot and other.live
                     ):
                         frags[fid] = router.build(fid)
-                        holdings[worker_id].add(fid)
+                        slot.holdings.add(fid)
                         outcome.fragments_shipped += 1
                         continue
                 balls[unit.uid] = router.ball_for_unit(unit)
@@ -1205,59 +1043,54 @@ class ProcessBackend(Backend):
                 return {"fragments": frags, "balls": balls}
             return None
 
-        def dispatch(worker_id: int, batch: List[WorkUnit], kind: str = "units") -> bool:
-            """Send *batch* plus the worker's pending ΔEq; False when the
-            worker turns out to be dead (its batch is requeued for the
-            survivors, mirroring the receive-side EOF handling)."""
-            base = synced[worker_id]
+        def dispatch(slot: _Slot, batch: List[WorkUnit]) -> None:
+            """Send *batch* — empty for a settlement sync — plus the ΔEq the
+            worker has not seen. A closed pipe buries the worker, and the
+            undelivered batch is requeued for the survivors."""
+            base = slot.synced
             ops = eq.delta_since(base)
-            regions = own_regions[worker_id]
-            if regions:
+            if slot.own_regions:
+                # Echo suppression: master-log regions the worker produced
+                # itself (recorded at merge time) are never broadcast back.
                 ops = [
                     op
                     for position, op in enumerate(ops, start=base)
-                    if not any(lo <= position < hi for lo, hi in regions)
+                    if not any(lo <= position < hi for lo, hi in slot.own_regions)
                 ]
             extras = None
-            if router is not None and kind == "units" and batch:
-                extras = fragment_extras(worker_id, batch)
+            if router is not None and batch:
+                extras = fragment_extras(slot, batch)
+            slot.batch = batch
+            # A sync carries no batch index: fault events key on unit
+            # batches only.
+            index = slot.batches if batch else None
             try:
-                if kind == "units":
-                    conns[worker_id].send(
-                        (kind, batch, ops, batch_counters[worker_id], extras)
-                    )
-                    batch_counters[worker_id] += 1
-                else:
-                    conns[worker_id].send((kind, ops))
+                slot.conn.send(("units", batch, ops, index, extras))
             except OSError:
-                bury(worker_id, batch, "dispatch pipe closed", crashed=False)
-                return False
+                bury(slot, "dispatch pipe closed", crashed=False)
+                return
+            if batch:
+                slot.batches += 1
+            slot.state = BUSY
             outcome.broadcast_volume += len(ops)
             outcome.sync_rounds += 1
-            shipped_ops[worker_id] = len(ops)
-            dispatched_at[worker_id] = time.perf_counter()
-            synced[worker_id] = eq.log_position()
+            slot.shipped = len(ops)
+            slot.sent_at = time.perf_counter()
+            slot.synced = eq.log_position()
             # Every recorded region ends at or before the log position the
             # sync mark just advanced to, so this dispatch consumed them all.
-            own_regions[worker_id] = []
-            in_flight[worker_id] = batch
-            return True
+            slot.own_regions = []
 
-        def receive(worker_id: int) -> bool:
-            """Merge one worker reply into the master state; True if the
-            run should terminate (conflict or goal)."""
-            nonlocal terminated, slowest_trip
-            reply = conns[worker_id].recv()
+        def receive(slot: _Slot, reply: tuple) -> None:
+            """Merge one worker reply into the master state."""
+            nonlocal slowest_trip
+            worker_id = slot.worker_id
             if reply[0] == "error":
                 # The worker exits after reporting: an infrastructure-level
                 # failure (not a unit exception — those come back in the
                 # failures slot of a normal reply). Treated as a crash.
-                bury(
-                    worker_id,
-                    in_flight.pop(worker_id, []),
-                    f"process worker {worker_id} failed: {reply[1]}",
-                )
-                return terminated
+                bury(slot, f"process worker {worker_id} failed: {reply[1]}")
+                return
             _, results, new_ops, conflict, goal_reached, busy, failures, evidence = reply
             # The raw evidence the worker noted during the batch (unit
             # execution plus replay-triggered cascades), queued unopened:
@@ -1265,16 +1098,10 @@ class ProcessBackend(Backend):
             # evidence is read. A retried unit's re-shipped matches then
             # intern to the records already there.
             engine.evidence.absorb(evidence)
-            batch = in_flight.pop(worker_id, [])
+            batch, slot.batch = slot.batch, []
+            slot.state = IDLE
             dispatched = {unit.uid: unit for unit in batch}
-            if worker_id not in idle:
-                # Settlement syncs dispatch to workers still on the idle
-                # list; an unconditional append would duplicate the entry,
-                # and a duplicated worker could be popped twice by the main
-                # loop — its second batch overwriting in_flight and losing
-                # the first one's results.
-                idle.append(worker_id)
-            trip = time.perf_counter() - dispatched_at[worker_id]
+            trip = time.perf_counter() - slot.sent_at
             slowest_trip = max(slowest_trip, trip)
             outcome.worker_busy[worker_id] += busy
             outcome.broadcast_volume += len(new_ops)
@@ -1288,224 +1115,165 @@ class ProcessBackend(Backend):
                 # own busy clock would miss exactly the communication
                 # cost batching exists to control.
                 scheduler.observe(
-                    worker_id,
-                    len(results),
-                    shipped_ops[worker_id] + len(new_ops),
-                    trip,
+                    worker_id, len(results), slot.shipped + len(new_ops), trip
                 )
             merge_mark = eq.log_position()
             eq.apply_delta(new_ops)
             if eq.log_position() > merge_mark:
                 # The novel slice of this reply is the worker's own work;
                 # never echo it back to its producer.
-                own_regions[worker_id].append((merge_mark, eq.log_position()))
+                slot.own_regions.append((merge_mark, eq.log_position()))
             if conflict is not None:
                 eq.install_conflict(conflict)
             for unit_uid, detail in failures:
-                unit = dispatched.get(unit_uid)
-                if unit is None:  # pragma: no cover - protocol hygiene
-                    continue
-                if config.strict_faults:
-                    raise WorkerFault(
-                        f"process worker {worker_id} failed on unit {unit_uid}",
-                        worker_id=worker_id,
-                        unit_uid=unit_uid,
-                        worker_traceback=detail,
-                    )
-                if tracker.record_failure(unit):
-                    outcome.retries += 1
+                unit = dispatched[unit_uid]
+                if fail_unit(outcome, tracker, config, unit, detail, worker_id):
                     scheduler.requeue([unit])
-                else:
-                    outcome.quarantined.append(
-                        QuarantinedUnit(unit, detail, tracker.attempts(unit), worker_id)
-                    )
             for result in results:
-                # Reconcile by stable uid: a result must answer a unit of
-                # the batch this worker was handed (pickling round-trips
-                # preserve uids, so this is pure protocol hygiene).
-                if result.unit_uid not in dispatched:  # pragma: no cover
-                    continue
-                completed[worker_id][result.unit_uid] = dispatched[result.unit_uid]
+                # Reconcile by stable uid: a result answers a unit of the
+                # batch this worker was handed (pickling round-trips
+                # preserve uids).
+                slot.completed[result.unit_uid] = dispatched[result.unit_uid]
                 absorb_result(outcome, result)
-                if not (result.conflict or result.goal_reached) and not terminated:
+                if not (result.conflict or result.goal_reached or outcome.terminated_early):
                     register_splits(outcome, result, scheduler.requeue)
             if eq.has_conflict():
                 outcome.conflict = eq.conflict
-                terminated = True
             elif goal_reached or (goal_check is not None and goal_check(eq)):
                 outcome.goal_reached = True
-                terminated = True
-            return terminated
 
-        def reap_hung_workers() -> None:
-            """Kill and bury every in-flight worker past the deadline."""
-            limit = config.batch_deadline(slowest_trip)
-            now = time.perf_counter()
-            for worker_id in [
-                wid for wid in in_flight if now - dispatched_at[wid] >= limit
-            ]:
-                bury(
-                    worker_id,
-                    in_flight.pop(worker_id),
-                    f"process worker {worker_id} exceeded the "
-                    f"{limit:.2f}s batch deadline (hang detection)",
-                )
-
-        def main_loop() -> None:
-            """Dispatch until the queue drains, the run terminates, or the
-            pool collapses — whichever comes first. Every wait carries the
-            hang-detection deadline; worker death recovers through
-            ``bury`` (suspects, completed-unit re-runs, respawn)."""
-            while True:
-                perform_due_respawns()
-                if not terminated and not collapsed():
-                    # Dynamic assignment to free workers: the suspect lane
-                    # first (singleton batches — bisection), then the
-                    # scheduler (own pinned queue, global, stealing).
-                    while pending_work() and idle and not terminated:
-                        worker_id = idle.pop(0)
-                        if worker_id in dead:
-                            continue
-                        if suspects:
-                            batch = [suspects.popleft()]
-                        else:
-                            batch = scheduler.next_batch(worker_id)
-                        if not batch:  # pragma: no cover - len() said otherwise
-                            idle.append(worker_id)
-                            break
-                        dispatch(worker_id, batch)
-                if not in_flight:
-                    if pending_respawns and not terminated and pending_work():
-                        # Nothing in flight, but a backoff is still ticking:
-                        # wait it out here rather than declaring the pool
-                        # collapsed while a replacement is on its way.
-                        due = min(pending_respawns.values())
-                        time.sleep(max(0.0, due - time.perf_counter()))
-                        continue
-                    return
-                limit = config.batch_deadline(slowest_trip)
-                now = time.perf_counter()
-                expiry = min(dispatched_at[wid] + limit for wid in in_flight)
-                if pending_respawns:
-                    # Wake for the nearest due respawn too, so a restart is
-                    # never delayed by a full batch deadline.
-                    expiry = min(expiry, min(pending_respawns.values()))
-                ready = mp_connection.wait(
-                    [conns[wid] for wid in in_flight],
-                    timeout=max(0.0, expiry - now),
-                )
-                if not ready:
-                    reap_hung_workers()
-                    continue
-                for conn in ready:
-                    worker_id = conn_worker[conn]
-                    if worker_id not in in_flight:  # pragma: no cover
-                        continue  # buried by an earlier conn of this round
-                    try:
-                        receive(worker_id)
-                    except (EOFError, ConnectionError, OSError):
-                        # Worker died mid-batch: re-pin its keys and put
-                        # the lost units into the suspect lane.
-                        bury(
-                            worker_id,
-                            in_flight.pop(worker_id, []),
-                            f"process worker {worker_id} died mid-batch",
-                        )
-
-        def settle() -> bool:
-            """One settlement pass: flush remaining deltas so worker-side
-            parked matches cascade to the shared fixpoint. Returns True at
-            quiescence; False when a death re-opened the work queue (the
-            dead worker's completed units must re-run through the main
-            loop first)."""
-            while not terminated:
-                perform_due_respawns()
-                if pending_work():
-                    return False
-                recipients = [
-                    wid
-                    for wid in range(config.workers)
-                    if wid not in dead and synced[wid] < eq.log_position()
-                ]
-                if not recipients:
-                    return True
-                for worker_id in recipients:
-                    dispatch(worker_id, [], kind="sync")
-                # Drain every successfully dispatched sync — also when a
-                # reply terminates the run mid-round, so shutdown stays
-                # orderly. A worker that dies or hangs during settlement
-                # goes through bury() exactly like the main loop, so its
-                # locality keys re-pin exactly once.
-                limit = config.batch_deadline(slowest_trip)
-                for worker_id in recipients:
-                    if worker_id not in in_flight:
-                        continue  # dispatch failed; worker already dead
-                    remaining = dispatched_at[worker_id] + limit - time.perf_counter()
-                    try:
-                        if not conns[worker_id].poll(max(0.0, remaining)):
-                            in_flight.pop(worker_id, None)
-                            bury(
-                                worker_id,
-                                [],
-                                f"process worker {worker_id} exceeded the "
-                                f"{limit:.2f}s settlement deadline (hang detection)",
-                            )
-                            continue
-                        receive(worker_id)
-                    except (EOFError, ConnectionError, OSError):
-                        in_flight.pop(worker_id, None)
-                        bury(worker_id, [], f"process worker {worker_id} died during settlement")
-            return True
-
+        # The one wait loop. Each pass: restart due respawns, hand work to
+        # idle workers, and — with nothing queued and nothing in flight —
+        # open a settlement round: one sync to every live worker that lags
+        # the master log, so worker-side parked matches cascade to the
+        # shared fixpoint. Batch and sync replies come back through the
+        # same deadline-bounded wait, hang detection and bury(); the next
+        # round opens only once every reply of the last is in. The loop
+        # ends at termination, at quiescence (no worker lags), or when the
+        # pool can no longer finish the queue remotely.
         run_ok = False
-        degrade = False
         try:
             while True:
-                main_loop()
-                if not terminated and collapsed() and pending_work():
-                    # Not enough replicas left to finish remotely: the
-                    # coordinator takes over in-process below.
-                    if config.strict_faults:  # pragma: no cover - defensive
-                        raise WorkerPoolError(
-                            f"worker pool collapsed to {live_count()} live "
-                            f"worker(s) (min_live_workers={config.min_live_workers})",
-                            live_workers=live_count(),
-                            dead_workers=len(dead),
+                now = time.perf_counter()
+                for slot in slots:
+                    if slot.state == RESPAWNING and slot.due <= now:
+                        # Restart from the coordinator's *current* state;
+                        # the scheduler re-opens the slot for pinning.
+                        slot.respawns += 1
+                        try:
+                            self._launch(
+                                method, [slot], context, engine, goal_check, router
+                            )
+                        except Exception:  # pragma: no cover - out of pids/memory
+                            slot.state = DEAD
+                            continue
+                        scheduler.worker_revived(slot.worker_id)
+                        outcome.respawns += 1
+                live = sum(slot.live for slot in slots)
+                if not outcome.terminated_early and live >= max(
+                    1, config.min_live_workers
+                ):
+                    # Dynamic assignment to idle workers: the suspect lane
+                    # first (singleton batches — bisection), then the
+                    # scheduler (own pinned queue, global, stealing).
+                    for slot in slots:
+                        if not pending_work():
+                            break
+                        if slot.state == IDLE:
+                            if suspects:
+                                batch = [suspects.popleft()]
+                            else:
+                                batch = scheduler.next_batch(slot.worker_id)
+                            if batch:
+                                dispatch(slot, batch)
+                busy = {slot.conn: slot for slot in slots if slot.state == BUSY}
+                dues = [slot.due for slot in slots if slot.state == RESPAWNING]
+                if not busy:
+                    if outcome.terminated_early:
+                        break
+                    if pending_work():
+                        if dues:
+                            # A backoff is still ticking: wait it out rather
+                            # than declaring the pool collapsed while a
+                            # replacement is on its way.
+                            time.sleep(max(0.0, min(dues) - time.perf_counter()))
+                            continue
+                        # Not enough replicas left to finish remotely: the
+                        # coordinator takes over in-process. Survivors'
+                        # parked matches are unreachable without settlement,
+                        # so every completed unit re-runs too, and the
+                        # master engine reaches the same fixpoint on its own.
+                        if config.strict_faults:  # pragma: no cover - defensive
+                            raise WorkerPoolError(
+                                f"worker pool collapsed to {live} live "
+                                f"worker(s) (min_live_workers={config.min_live_workers})",
+                                live_workers=live,
+                                dead_workers=config.workers - live,
+                            )
+                        extra = list(suspects)
+                        for slot in slots:
+                            extra.extend(slot.completed.values())
+                        drain_in_process(
+                            outcome,
+                            scheduler,
+                            context,
+                            engine,
+                            config,
+                            goal_check=goal_check,
+                            tracker=tracker,
+                            extra_units=extra,
                         )
-                    degrade = True
-                    break
-                if settle():
-                    break
-            if degrade:
-                # Survivors' parked matches are unreachable without
-                # settlement; every completed unit re-runs in-process so
-                # the master engine reaches the same fixpoint on its own.
-                extra = list(suspects)
-                suspects.clear()
-                for units_by_uid in completed:
-                    extra.extend(units_by_uid.values())
-                    units_by_uid.clear()
-                drain_in_process(
-                    outcome,
-                    scheduler,
-                    context,
-                    engine,
-                    config,
-                    goal_check=goal_check,
-                    tracker=tracker,
-                    extra_units=extra,
+                        break
+                    # Settlement round — also below min_live_workers, as
+                    # long as no work is pending.
+                    lagging = [
+                        slot
+                        for slot in slots
+                        if slot.state == IDLE and slot.synced < eq.log_position()
+                    ]
+                    if not lagging:
+                        break
+                    for slot in lagging:
+                        dispatch(slot, [])
+                    continue
+                limit = config.batch_deadline(slowest_trip)
+                # Wake for the nearest due respawn too, so a restart is
+                # never delayed by a full batch deadline.
+                expiry = min([slot.sent_at + limit for slot in busy.values()] + dues)
+                ready = mp_connection.wait(
+                    list(busy), timeout=max(0.0, expiry - time.perf_counter())
                 )
+                if not ready:
+                    # Hang detection: kill and bury every worker past the
+                    # deadline (a due respawn may have woken us instead).
+                    now = time.perf_counter()
+                    for slot in busy.values():
+                        if now - slot.sent_at >= limit:
+                            bury(
+                                slot,
+                                f"process worker {slot.worker_id} exceeded the "
+                                f"{limit:.2f}s batch deadline (hang detection)",
+                            )
+                    continue
+                for conn in ready:
+                    slot = busy[conn]
+                    try:
+                        reply = conn.recv()
+                    except (EOFError, ConnectionError, OSError):
+                        bury(slot, f"process worker {slot.worker_id} died mid-batch")
+                        continue
+                    receive(slot, reply)
             run_ok = True
         finally:
-            if pool is not None and run_ok and len(dead) < config.workers:
-                # Persistent mode: keep the surviving replicas standing for
-                # the next run's delta refresh.
+            if pool is not None and run_ok and all(slot.state == IDLE for slot in slots):
+                # Persistent mode: keep the whole pool standing for the
+                # next run's delta refresh.
                 self._pool = pool
             else:
                 if pool is not None:
                     self._pool = None
                     context.graph.retain_deltas(False)
-                self._shutdown_workers(conns, procs, dead)
+                self._shutdown_workers(slots)
 
         scheduler.export_stats(outcome)
         outcome.wall_seconds = time.perf_counter() - started

@@ -16,11 +16,15 @@ against the virtual dispatch order, which makes this backend the place to
 ``hang`` remove the virtual worker from the ready heap before it touches
 its batch (its units rebury and its locality keys re-pin); ``slow``
 charges the stall to the virtual clock; ``error`` events and poisoned
-units flow through the shared retry/quarantine tracker. When every
+units raise through the shared injection helper
+(:func:`~repro.parallel.faults.inject_faults`) and meet the shared failure
+rule (:func:`~repro.parallel.coordinator.fail_unit`). When every
 virtual worker has died with work remaining, the coordinator drains the
 queue in-process (``degraded``) — the degraded units run outside the
 clock, mirroring the process backend whose degraded execution is not a
-parallel computation either.
+parallel computation either. The virtual-clock loop is this backend's
+own: a virtual worker has no pipe to wait on or deadline to miss, so the
+process backend's wall-clock supervisor has nothing to supervise here.
 """
 
 from __future__ import annotations
@@ -35,13 +39,13 @@ from ...reasoning.enforce import EnforcementEngine
 from ...reasoning.workunits import WorkUnit
 from ..coordinator import (
     ParallelOutcome,
-    QuarantinedUnit,
     absorb_result,
     drain_in_process,
+    fail_unit,
     register_splits,
     unit_duration,
 )
-from ..faults import InjectedFault, RetryTracker
+from ..faults import RetryTracker, inject_faults
 from ..scheduler import Scheduler
 from ..units import UnitContext, execute_unit
 from .base import Backend, GoalCheck
@@ -120,13 +124,7 @@ class SimulatedBackend(Backend):
             for position, unit in enumerate(batch):
                 unit_start = now + elapsed
                 try:
-                    if config.fault_plan is not None:
-                        config.fault_plan.check_unit(unit)
-                    if event is not None and event.kind == "error" and position == 0:
-                        raise InjectedFault(
-                            f"injected worker-side error (worker {worker_id}, "
-                            f"batch {batch_counters[worker_id] - 1})"
-                        )
+                    inject_faults(config.fault_plan, event, unit, position)
                     result = execute_unit(
                         unit,
                         context,
@@ -135,25 +133,10 @@ class SimulatedBackend(Backend):
                         max_split_units=config.max_split_units,
                         goal_check=goal_check,
                     )
-                except Exception as exc:
+                except Exception:
                     detail = traceback.format_exc()
-                    if config.strict_faults:
-                        raise WorkerFault(
-                            f"simulated worker {worker_id} failed on "
-                            f"unit {unit.uid}: {exc}",
-                            worker_id=worker_id,
-                            unit_uid=unit.uid,
-                            worker_traceback=detail,
-                        ) from exc
-                    if tracker.record_failure(unit):
-                        outcome.retries += 1
+                    if fail_unit(outcome, tracker, config, unit, detail, worker_id):
                         scheduler.requeue([unit])
-                    else:
-                        outcome.quarantined.append(
-                            QuarantinedUnit(
-                                unit, detail, tracker.attempts(unit), worker_id
-                            )
-                        )
                     continue
                 elapsed += unit_duration(result, config) * config.costs.tick_seconds
                 executed += 1

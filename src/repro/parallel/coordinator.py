@@ -12,7 +12,14 @@ clock or processes). This module holds the runtime-agnostic half:
   backend performs per :class:`~repro.parallel.units.UnitResult`: tally
   operation counts, decide early termination, and hand split sub-units to
   the :class:`~repro.parallel.scheduler.Scheduler`'s priority lane
-  (paper, lines 9–10 of ParSat: splits jump the queue).
+  (paper, lines 9–10 of ParSat: splits jump the queue);
+* :func:`fail_unit` — the one failure rule: a failed unit is retried up
+  to ``max_unit_retries`` times, then quarantined, and under
+  ``strict_faults`` the first failure raises instead;
+* :func:`execute_in_process` — the one in-process executor, running units
+  against the master engine with poisoned-unit injection, the failure
+  rule and split requeue. Degraded execution (:func:`drain_in_process`)
+  and the coordinator-side pass of fragmented process runs both use it.
 
 Backends import from here; entry points import the names re-exported by
 the package root.
@@ -29,7 +36,8 @@ from ..errors import WorkerFault
 from ..eq.eqrelation import Conflict, EqRelation
 from ..reasoning.workunits import WorkUnit
 from .config import RuntimeConfig
-from .units import UnitResult
+from .faults import RetryTracker, inject_faults
+from .units import UnitResult, execute_unit
 
 
 @dataclass
@@ -173,6 +181,96 @@ def register_splits(
         requeue(result.splits)
 
 
+def fail_unit(
+    outcome: ParallelOutcome,
+    tracker: RetryTracker,
+    config: RuntimeConfig,
+    unit: WorkUnit,
+    detail: str,
+    worker_id: Optional[int] = None,
+) -> bool:
+    """The failure rule every backend applies to a unit that failed.
+
+    Under ``config.strict_faults`` the first failure raises
+    :class:`~repro.errors.WorkerFault`. Otherwise *tracker* (a
+    :class:`~repro.parallel.faults.RetryTracker`) counts it: within
+    ``max_unit_retries`` the failure counts as a retry and True tells the
+    caller to requeue the unit; past the budget the unit is quarantined
+    into ``outcome.quarantined`` with *detail* (the traceback, or the
+    cause of the worker death charged to it) and False is returned.
+    *worker_id* is None for in-process execution.
+    """
+    if config.strict_faults:
+        where = "in-process" if worker_id is None else f"on worker {worker_id}"
+        raise WorkerFault(
+            f"unit {unit.uid} failed {where}",
+            worker_id=worker_id,
+            unit_uid=unit.uid,
+            worker_traceback=detail,
+        )
+    if tracker.record_failure(unit):
+        outcome.retries += 1
+        return True
+    outcome.quarantined.append(
+        QuarantinedUnit(unit, detail, tracker.attempts(unit), worker_id)
+    )
+    return False
+
+
+def execute_in_process(
+    outcome: ParallelOutcome,
+    units,
+    context,
+    engine,
+    config: RuntimeConfig,
+    tracker: RetryTracker,
+    goal_check=None,
+    refill: Optional[Callable[[], List[WorkUnit]]] = None,
+) -> None:
+    """Run units coordinator-side, directly against the master engine.
+
+    *units* run first; once they are used up, *refill* (when given) hands
+    over the next batch, until it returns none or the run terminates.
+    Execution goes through the same :func:`~repro.parallel.units.execute_unit`
+    path the workers use, so no broadcast or settlement is needed.
+    Poisoned-unit injection and :func:`fail_unit` apply (a retried unit
+    goes to the back of the local queue); worker events do not, as there
+    is no worker to fail. Splits jump the local queue's front.
+    """
+    plan = config.fault_plan
+    eq = engine.eq
+    pending = deque(units)
+    while not outcome.terminated_early:
+        if not pending and refill is not None:
+            pending.extend(refill())
+        if not pending:
+            return
+        unit = pending.popleft()
+        try:
+            inject_faults(plan, None, unit, 0)
+            result = execute_unit(
+                unit,
+                context,
+                engine,
+                ttl_ticks=config.ttl_ticks,
+                max_split_units=config.max_split_units,
+                goal_check=goal_check,
+            )
+        except Exception:
+            if fail_unit(outcome, tracker, config, unit, traceback.format_exc()):
+                pending.append(unit)
+            continue
+        absorb_result(outcome, result)
+        if result.conflict or eq.has_conflict():
+            outcome.conflict = eq.conflict
+        elif result.goal_reached or (goal_check is not None and goal_check(eq)):
+            outcome.goal_reached = True
+        else:
+            register_splits(
+                outcome, result, lambda splits: pending.extendleft(reversed(splits))
+            )
+
+
 def drain_in_process(
     outcome: ParallelOutcome,
     scheduler,
@@ -187,71 +285,21 @@ def drain_in_process(
 
     When a backend's worker pool collapses below
     ``config.min_live_workers``, the remaining units (plus any
-    *extra_units* recovered from dead workers) are executed in-process
-    through the same :func:`~repro.parallel.units.execute_unit` path the
-    simulated backend uses — directly against the master engine, so no
-    broadcast or settlement is needed. Poisoned-unit injection and the
-    retry/quarantine machinery (*tracker*, a
-    :class:`~repro.parallel.faults.RetryTracker`) still apply; worker
-    events do not (there are no workers left to fail).
+    *extra_units* recovered from dead workers) run through
+    :func:`execute_in_process` and the outcome is marked ``degraded``.
+    The retry/quarantine accounting continues on *tracker* when the
+    backend passes its own.
     """
-    from .faults import RetryTracker
-    from .units import execute_unit
-
     outcome.degraded = True
     if tracker is None:
         tracker = RetryTracker(config.max_unit_retries)
-    plan = config.fault_plan
-    eq = engine.eq
-    pending = deque(extra_units or ())
-    requeue = pending.extendleft  # splits jump this local queue's front
-
-    def next_unit() -> Optional[WorkUnit]:
-        if pending:
-            return pending.popleft()
-        batch = scheduler.next_batch(0) if len(scheduler) else []
-        if not batch:
-            return None
-        pending.extend(batch[1:])
-        return batch[0]
-
-    while not outcome.terminated_early:
-        unit = next_unit()
-        if unit is None:
-            break
-        try:
-            if plan is not None:
-                plan.check_unit(unit)
-            result = execute_unit(
-                unit,
-                context,
-                engine,
-                ttl_ticks=config.ttl_ticks,
-                max_split_units=config.max_split_units,
-                goal_check=goal_check,
-            )
-        except Exception as exc:
-            detail = traceback.format_exc()
-            if config.strict_faults:
-                raise WorkerFault(
-                    f"unit {unit.uid} failed during degraded execution: {exc}",
-                    unit_uid=unit.uid,
-                    worker_traceback=detail,
-                ) from exc
-            if tracker.record_failure(unit):
-                outcome.retries += 1
-                pending.append(unit)
-            else:
-                outcome.quarantined.append(
-                    QuarantinedUnit(unit, detail, tracker.attempts(unit))
-                )
-            continue
-        absorb_result(outcome, result)
-        if result.conflict or eq.has_conflict():
-            outcome.conflict = eq.conflict
-        elif result.goal_reached or (goal_check is not None and goal_check(eq)):
-            outcome.goal_reached = True
-        else:
-            register_splits(outcome, result, lambda splits: requeue(reversed(splits)))
-
-
+    execute_in_process(
+        outcome,
+        extra_units or (),
+        context,
+        engine,
+        config,
+        tracker,
+        goal_check=goal_check,
+        refill=lambda: scheduler.next_batch(0) if len(scheduler) else [],
+    )

@@ -199,6 +199,28 @@ class FaultPlan:
         )
 
 
+def inject_faults(
+    plan: Optional[FaultPlan],
+    event: Optional[FaultEvent],
+    unit,
+    position: int,
+) -> None:
+    """Raise :class:`InjectedFault` where *plan* says *unit* fails.
+
+    A poisoned unit fails wherever it runs; an ``error`` *event* fails
+    the first unit (*position* 0) of the batch it is keyed to. Workers of
+    both backends and the in-process executor call this before executing
+    each unit, so an injected failure takes the organic failure path.
+    """
+    if plan is not None:
+        plan.check_unit(unit)
+    if event is not None and event.kind == "error" and position == 0:
+        raise InjectedFault(
+            f"injected worker-side error (worker {event.worker_id}, "
+            f"batch {event.batch_index})"
+        )
+
+
 class RetryTracker:
     """Per-unit failure accounting shared by every backend.
 

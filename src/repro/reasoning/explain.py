@@ -24,7 +24,6 @@ from typing import List, Optional, Sequence
 
 from ..eq.eqrelation import Conflict, DeltaOp
 from ..gfd.gfd import GFD
-from ..results.store import slice_derivation
 from .seqsat import SatResult, seq_sat
 
 
@@ -41,44 +40,23 @@ class Explanation:
         return len(self.steps)
 
 
-def _op_gfd(op: DeltaOp) -> str:
-    """The rule behind an op — structured provenance, not string parsing."""
-    if op.provenance is not None:
-        return op.provenance.gfd
-    return op.source
-
-
 def explain_unsatisfiability(
     sigma: Sequence[GFD], result: Optional[SatResult] = None
 ) -> Optional[Explanation]:
     """Explain why *sigma* is unsatisfiable, or None if it is satisfiable.
 
     Pass an existing :class:`SatResult` to avoid re-running ``seq_sat``.
-    The explanation's final step is implicit: the conflicting class holds
+    The slice is the result store's conflict explanation
+    (:meth:`~repro.results.store.ResultStore.explain_conflict`). The
+    explanation's final step is implicit: the conflicting class holds
     two distinct constants (recorded in ``conflict``).
     """
     if result is None:
         result = seq_sat(sigma)
     if result.satisfiable:
         return None
-    conflict = result.conflict
-    # Seeds: the clashing class, plus the antecedent terms of the match
-    # that closed it, so chains that only *enable* the clash are kept.
-    seeds = set(result.eq.members(conflict.term))
-    if conflict.provenance is not None:
-        seeds.update(conflict.provenance.premise_terms)
-    steps = slice_derivation(result.eq.delta_since(0), seeds)
-    involved: List[str] = []
-    for op in steps:
-        name = _op_gfd(op)
-        if name and name not in involved:
-            involved.append(name)
-    conflict_gfd = (
-        conflict.provenance.gfd if conflict.provenance is not None else conflict.source
-    )
-    if conflict_gfd and conflict_gfd not in involved:
-        involved.append(conflict_gfd)
-    return Explanation(conflict, steps, involved)
+    sliced = result.results.explain_conflict()
+    return Explanation(result.conflict, sliced.steps, sliced.gfds_involved)
 
 
 def render_explanation(explanation: Explanation) -> str:

@@ -8,8 +8,8 @@ by reference lookups and a backward slice over the derivation log, with
 zero re-matching: the store never touches the graph or the matcher.
 
 The generic backward-slice lives here (:func:`slice_derivation`);
-:func:`repro.reasoning.explain.explain_unsatisfiability` slices with it
-too.
+:func:`repro.reasoning.explain.explain_unsatisfiability` is a view over
+:meth:`ResultStore.explain_conflict`.
 """
 
 from __future__ import annotations

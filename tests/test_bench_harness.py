@@ -1,5 +1,10 @@
 """Tests for the benchmark harness and a smoke pass over experiments."""
 
+import gc
+import importlib.util
+import weakref
+from pathlib import Path
+
 import pytest
 
 from repro.bench.harness import (
@@ -15,6 +20,7 @@ from repro.bench.harness import (
     timed,
 )
 from repro.chase import chase_satisfiability
+from repro.parallel import ParallelOutcome, RuntimeConfig
 from repro.reasoning import seq_imp, seq_sat
 
 
@@ -132,3 +138,43 @@ class TestExperimentSmoke:
         assert len(ALL_EXPERIMENTS) == 13  # Fig 5 + Fig 6(a)-(l)
         results = run_all(["fig5"])
         assert results[0].experiment_id == "fig5"
+
+
+class TestBenchParallelMemory:
+    """``benchmarks/bench_parallel.py`` repeats each call; a repeat must not
+    start while the previous repeat's result (and its evidence) is alive,
+    or the benchmark's peak memory is two runs'."""
+
+    @staticmethod
+    def _load_bench():
+        path = Path(__file__).resolve().parents[1] / "benchmarks" / "bench_parallel.py"
+        spec = importlib.util.spec_from_file_location("bench_parallel_under_test", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    def test_one_result_alive_per_call(self, monkeypatch):
+        bench = self._load_bench()
+        handed_out = []  # weak references to every result and outcome
+
+        class Result:
+            satisfiable = True
+
+            def __init__(self):
+                self.outcome = ParallelOutcome()
+
+        def stub(*args, **kwargs):
+            gc.collect()
+            alive = [ref for ref in handed_out if ref() is not None]
+            assert not alive, "an earlier result is alive as the next call begins"
+            result = Result()
+            handed_out.extend([weakref.ref(result), weakref.ref(result.outcome)])
+            return result
+
+        monkeypatch.setattr(bench, "par_sat", stub)
+        monkeypatch.setattr(bench, "seq_sat", stub)
+        record = bench.bench_config([], "process", RuntimeConfig(), repeats=3)
+        assert record["verdict"] is True
+        last, record = bench.bench_seq_sat([], repeats=3)
+        assert record["verdict"] is True and last is handed_out[-2]()
+        assert len(handed_out) == 12

@@ -15,6 +15,7 @@ import pickle
 
 import pytest
 
+from repro import parse_gfds
 from repro.errors import RuntimeConfigError, WorkerFault, WorkerPoolError
 from repro.gfd.generator import delta_hub_workload, random_gfds
 from repro.parallel import (
@@ -186,16 +187,26 @@ class TestProcessSupervision:
         assert result.outcome.respawns >= 1
         assert result.outcome.worker_deaths >= 1
 
-    def test_sole_worker_respawns_instead_of_degrading(self):
+    @pytest.mark.parametrize("fragments", [None, 2])
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_sole_worker_respawns_instead_of_degrading(self, start_method, fragments):
         """With workers=1 a crash empties the pool; the pending respawn's
         backoff must be waited out (not slept inline in bury) and the
-        revived replica — not the degradation path — finishes the run."""
+        revived replica — not the degradation path — finishes the run.
+        Every launch payload respawns: fork state, a whole-graph snapshot,
+        and the fragment kit."""
+        import multiprocessing as mp
+
+        if start_method not in mp.get_all_start_methods():
+            pytest.skip(f"{start_method} unavailable on this platform")
         sigma = _delta_hub()
         expected = seq_sat(sigma).satisfiable
         config = RuntimeConfig(
             workers=1,
             max_worker_respawns=1,
             fault_plan=FaultPlan.single("crash", worker_id=0, batch_index=0),
+            start_method=start_method,
+            fragments=fragments,
             **FAST_TIMEOUT,
         )
         result = par_sat(sigma, config, backend="process")
@@ -203,6 +214,10 @@ class TestProcessSupervision:
         assert result.outcome.respawns == 1
         assert result.outcome.worker_deaths == 1
         assert not result.outcome.degraded
+        if fragments is not None:
+            # The crash took the shipped replicas with it: the respawned
+            # worker starts from the bare kit and receives them again.
+            assert result.outcome.fragments_shipped > fragments
 
     def test_worker_error_event_retries_not_aborts(self):
         sigma = _delta_hub()
@@ -260,6 +275,47 @@ class TestProcessSupervision:
         )
         with pytest.raises(WorkerFault):
             par_sat(sigma, config, backend="process")
+
+
+# ----------------------------------------------------------------------
+# The coordinator-side pass of fragmented process runs
+# ----------------------------------------------------------------------
+#: g2's pattern is disconnected, so no fragment can serve its units: they
+#: run coordinator-side. The clash g3/g4 needs g2's consequent.
+COORDINATOR_SIDE_RULES = """
+gfd g1 { x: a; y: b; x -[e]-> y; then x.A = 1; }
+gfd g2 { x: a; z: c; when x.A = 1; then z.B = 2; }
+gfd g3 { y: b; z: c; y -[f]-> z; when z.B = 2; then y.C = 3; }
+gfd g4 { y: b; then y.C = 4; }
+"""
+
+
+class TestCoordinatorSideUnits:
+    def test_verdict_matches_seq_sat(self):
+        sigma = parse_gfds(COORDINATOR_SIDE_RULES)
+        config = RuntimeConfig(workers=2, fragments=2, **FAST_TIMEOUT)
+        result = par_sat(sigma, config, backend="process")
+        assert result.satisfiable == seq_sat(sigma).satisfiable
+        assert result.outcome.coordinator_units > 0
+        assert not result.outcome.quarantined
+
+    def test_poisoned_unit_is_quarantined_coordinator_side(self):
+        sigma = parse_gfds(COORDINATOR_SIDE_RULES)
+        config = RuntimeConfig(
+            workers=2,
+            fragments=2,
+            fault_plan=FaultPlan.make(poisoned=["g2"]),
+            **FAST_TIMEOUT,
+        )
+        outcome = par_sat(sigma, config, backend="process").outcome
+        assert outcome.quarantined
+        assert outcome.coordinator_units == 0
+        for boxed in outcome.quarantined:
+            assert boxed.unit.gfd_name == "g2"
+            assert boxed.attempts == config.max_unit_retries + 1
+            assert boxed.worker_id is None  # never left the coordinator
+            assert "InjectedFault" in boxed.error
+        assert outcome.retries == len(outcome.quarantined) * config.max_unit_retries
 
 
 # ----------------------------------------------------------------------

@@ -11,7 +11,7 @@ import pytest
 
 from repro.eq.eqrelation import EqRelation
 from repro.gfd.canonical import build_canonical_graph, canonical_node_id
-from repro.gfd.generator import random_gfds
+from repro.gfd.generator import delta_hub_workload, random_gfds
 from repro.parallel import ProcessBackend, RuntimeConfig, UnitContext
 from repro.parallel.parsat import PreparedSat
 from repro.reasoning.enforce import EnforcementEngine
@@ -67,7 +67,7 @@ class TestPersistentPool:
             backend.run(units, context, engine)
             pool = backend._pool
             assert pool is not None
-            pids = [proc.pid for proc in pool["procs"]]
+            pids = [slot.proc.pid for slot in pool["slots"]]
             version_before = pool["graph_version"]
 
             nxt = example8_sigma[1]
@@ -81,7 +81,7 @@ class TestPersistentPool:
             pool = backend._pool
             assert pool is not None
             # Same worker processes, refreshed — not respawned.
-            assert [proc.pid for proc in pool["procs"]] == pids
+            assert [slot.proc.pid for slot in pool["slots"]] == pids
             assert pool["graph_version"] > version_before
         finally:
             backend.close()
@@ -126,21 +126,21 @@ class TestPersistentPool:
             engine = EnforcementEngine(EqRelation(), dict(context.gfds))
             units = generate_work_units(example8_sigma, context.graph)
             backend.run(units, context, engine)
-            old_pids = [proc.pid for proc in backend._pool["procs"]]
-            for proc in backend._pool["procs"]:
-                proc.terminate()
-                proc.join(timeout=5)
+            old_pids = [slot.proc.pid for slot in backend._pool["slots"]]
+            for slot in backend._pool["slots"]:
+                slot.proc.terminate()
+                slot.proc.join(timeout=5)
             engine = EnforcementEngine(EqRelation(), dict(context.gfds))
             outcome = backend.run(units, context, engine)
             assert outcome.conflict is None
-            assert [p.pid for p in backend._pool["procs"]] != old_pids
+            assert [s.proc.pid for s in backend._pool["slots"]] != old_pids
         finally:
             backend.close()
 
     def test_hung_replica_does_not_wedge_refresh(self, example8_sigma):
         """A standing worker that is alive but unresponsive (SIGSTOP) must
         not block the refresh forever: past the deadline it is killed,
-        marked dead, and the run proceeds on the survivor."""
+        counted as a death, and the run cold-starts a whole pool."""
         import os
         import signal
         import time
@@ -157,13 +157,50 @@ class TestPersistentPool:
             engine = EnforcementEngine(EqRelation(), dict(context.gfds))
             units = generate_work_units(example8_sigma, context.graph)
             backend.run(units, context, engine)
-            os.kill(backend._pool["procs"][0].pid, signal.SIGSTOP)
+            os.kill(backend._pool["slots"][0].proc.pid, signal.SIGSTOP)
             engine = EnforcementEngine(EqRelation(), dict(context.gfds))
             started = time.monotonic()
             outcome = backend.run(units, context, engine)
             assert outcome.conflict is None
             assert time.monotonic() - started < 30.0
-            assert 0 in backend._pool["dead"]
+            assert outcome.worker_deaths == 1
+            assert all(slot.state == "idle" for slot in backend._pool["slots"])
+        finally:
+            backend.close()
+
+    def test_killed_replica_is_counted_and_replaced(self):
+        """A standing pool that lost a replica between runs is never reused
+        short-handed: the refresh counts the death and the run cold-starts
+        a whole pool, which later runs refresh again."""
+        import os
+        import signal
+
+        sigma = delta_hub_workload(
+            num_hubs=3, spokes_per_hub=6, num_writers=4, num_pairers=2,
+            num_background=6, seed=7,
+        )
+        expected = seq_sat(sigma).satisfiable
+        config = RuntimeConfig(workers=2, persistent_workers=True)
+        prepared = PreparedSat.build(sigma, config)
+        backend = ProcessBackend(config)
+        try:
+            prepared.run(backend)
+            victim = backend._pool["slots"][0].proc
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join(timeout=5)
+            result = prepared.run(backend)
+            assert result.satisfiable == expected
+            assert result.outcome.worker_deaths == 1
+            assert result.outcome.worker_busy[0] > 0
+            slots = backend._pool["slots"]
+            assert all(slot.state == "idle" for slot in slots)
+            assert all(slot.proc.is_alive() for slot in slots)
+            # The replacement pool is whole: the next run refreshes it.
+            pids = [slot.proc.pid for slot in slots]
+            result = prepared.run(backend)
+            assert result.satisfiable == expected
+            assert result.outcome.worker_deaths == 0
+            assert [slot.proc.pid for slot in backend._pool["slots"]] == pids
         finally:
             backend.close()
 
@@ -291,9 +328,10 @@ class TestPersistentPool:
         backend = ProcessBackend(config)
         try:
             cold = prepared.run(backend)
-            procs = list(backend._pool["procs"])
+            procs = [slot.proc for slot in backend._pool["slots"]]
             warm = prepared.run(backend)
-            assert backend._pool["procs"] == procs  # refreshed, not restarted
+            # refreshed, not restarted
+            assert [slot.proc for slot in backend._pool["slots"]] == procs
         finally:
             backend.close()
         assert set(cold.results.evidence.refs()) == expected

@@ -256,22 +256,23 @@ class TestProcessWorkerDeathUnderAffinity:
         assert config.affinity  # the default: this test runs WITH routing
         return ProcessBackend(config), context, engine, units
 
-    def test_initially_dead_worker_excluded_from_routing(self, example8_sigma):
+    def test_killed_replica_is_replaced(self, example8_sigma):
         backend, context, engine, units = self._setup(example8_sigma, workers=3)
         try:
             outcome = backend.run(units, context, engine)
             assert outcome.conflict is None
             # Kill one standing replica between runs: the refresh must
-            # detect it and the next run must route (and steal) around it.
-            victim = backend._pool["procs"][0]
+            # detect it, count it, and route the next run over a whole
+            # pool rather than a short-handed one.
+            victim = backend._pool["slots"][0].proc
             victim.terminate()
             victim.join(timeout=5)
             engine = EnforcementEngine(EqRelation(), dict(context.gfds))
             outcome = backend.run(units, context, engine)
             assert outcome.conflict is None
             assert outcome.units_executed == outcome.units_total - outcome.splits
-            assert 0 in backend._pool["dead"]
-            assert outcome.worker_busy[0] == 0.0
+            assert outcome.worker_deaths == 1
+            assert all(slot.state == "idle" for slot in backend._pool["slots"])
         finally:
             backend.close()
 
