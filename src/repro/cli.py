@@ -35,8 +35,9 @@ becomes the scheduler's locality key, and process workers hold per-
 fragment replicas (cross-fragment pivots get shipped dQ-balls) instead
 of whole-graph snapshots. ``--ruleset-plan`` (``sat``,
 ``imp``, ``detect``, ``explain``) compiles Σ into one shared-prefix plan
-trie matched in a single pass instead of looping over the rules — parallel runs group
-work units per pivot accordingly.
+trie matched in a single pass instead of looping over the rules. Parallel
+runs (``sat --parallel``) group their work units per pivot this way by
+default, with or without the flag.
 
 Exit codes: 0 success (satisfiable / implied / no violations), 2 usage or
 input error, 3 negative verdict (unsatisfiable / not implied / violations
@@ -342,7 +343,8 @@ def _add_ruleset_flag(parser: argparse.ArgumentParser) -> None:
         "--ruleset-plan",
         action="store_true",
         help="compile Σ into one shared-prefix plan trie matched in a "
-        "single pass instead of looping over the rules",
+        "single pass instead of looping over the rules (sat --parallel "
+        "groups its work units this way by default)",
     )
 
 

@@ -112,7 +112,7 @@ class PoolEngine:
     ``_preassigned_values`` / ``_exempt_bits_cache``
         the pivot images exempt from ``allowed_nodes``;
     ``ticks``
-        the virtual-cost counter (one per :meth:`_node_ok` call).
+        the virtual-cost counter (one per candidate checked).
 
     Keeping a single implementation is what makes the per-rule and
     rule-set paths byte-identical per rule: both pull candidates from the
@@ -551,6 +551,12 @@ class MatcherRun(PoolEngine):
     # ------------------------------------------------------------------
     # Splitting (paper, Example 6)
     # ------------------------------------------------------------------
+    @property
+    def clock(self) -> int:
+        """The straggler clock the TTL is measured on: one rule's search
+        counts its own checks (a trie walk counts them per member rule)."""
+        return self.ticks
+
     def can_split(self) -> bool:
         """True if some DFS level still has unexplored sibling candidates."""
         return any(frame.pending() for frame in self._stack[:-1]) or (

@@ -25,6 +25,14 @@ MatcherRun` stream. Verdicts are then order-independent by the
 Church-Rosser property of the monotone ``Eq`` chase, which is what lets the
 reasoning layers interleave enforcement across rules mid-walk.
 
+**Splitting keeps the walk shared.** :class:`RuleSetRun` keeps its
+depth-first state in an explicit frame stack, so a straggling walk can
+strip its shallowest unexplored work into pieces — a member subset plus a
+slot prefix — that resume the same trie elsewhere (paper, Example 6). The
+pieces partition the unexplored search tree, so the union of all their
+streams is the unsplit stream, and each still matches its shared prefix
+once for all its members.
+
 **Epoch discipline.** Compiled slot steps intern label ids like
 :class:`~repro.matching.plan.MatchPlan` layouts do, and the same
 absent-label watch-set argument applies: the only delta that can stale the
@@ -163,6 +171,8 @@ class RuleSetPlan:
         self.epoch = self.index.epoch
         self.gfds: Dict[str, GFD] = {}
         self.pivot_vars: Dict[str, str] = {}
+        #: Explicit variable orders (see :meth:`add`), kept for rebuilds.
+        self.orders: Dict[str, Sequence[str]] = {}
         self.roots: Dict[StepSignature, TrieNode] = {}
         #: Leaves of rules with no free steps (pivoted single-variable
         #: patterns): the validated pivot itself is the whole match.
@@ -177,14 +187,28 @@ class RuleSetPlan:
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
-    def add(self, gfd: GFD, pivot_var: Optional[str] = None) -> None:
-        """Insert one rule's compiled path (O(|Q|); shared prefixes merge)."""
+    def add(
+        self,
+        gfd: GFD,
+        pivot_var: Optional[str] = None,
+        order: Optional[Sequence[str]] = None,
+    ) -> None:
+        """Insert one rule's compiled path (O(|Q|); shared prefixes merge).
+
+        *order* pins the rule's variable order (the pivot, if listed, is
+        skipped) instead of the one this graph's statistics pick. Slot
+        names are positions on a rule's path, so a trie that must agree
+        slot for slot with another graph's — a fragment replica's with the
+        whole graph's — is built from that graph's orders.
+        """
         name = gfd.name
         if name in self.gfds:
             raise ValueError(f"duplicate GFD name in rule set: {name!r}")
         self.gfds[name] = gfd
         if pivot_var is not None:
             self.pivot_vars[name] = pivot_var
+        if order is not None:
+            self.orders[name] = tuple(order)
         self._insert(gfd, pivot_var)
 
     def _insert(self, gfd: GFD, pivot_var: Optional[str]) -> None:
@@ -192,7 +216,7 @@ class RuleSetPlan:
         plan = get_plan(gfd.pattern, self.graph)
         self._absent_labels.update(plan._absent_labels)
         preassigned = (pivot_var,) if pivot_var is not None else ()
-        layout = plan.layout(preassigned)
+        layout = plan.layout(preassigned, order=self.orders.get(name))
         slot_of: Dict[str, str] = {}
         if pivot_var is not None:
             slot_of[pivot_var] = PIVOT_SLOT
@@ -306,8 +330,15 @@ class RuleSetPlan:
         active: Optional[AbstractSet[str]] = None,
         pivot_node: Optional[NodeId] = None,
         allowed_nodes: Optional[AbstractSet[NodeId]] = None,
+        prefix: Optional[Mapping[str, NodeId]] = None,
     ) -> "RuleSetRun":
-        return RuleSetRun(self, active=active, pivot_node=pivot_node, allowed_nodes=allowed_nodes)
+        return RuleSetRun(
+            self,
+            active=active,
+            pivot_node=pivot_node,
+            allowed_nodes=allowed_nodes,
+            prefix=prefix,
+        )
 
     def matches(
         self,
@@ -325,6 +356,13 @@ class RuleSetPlan:
             f"RuleSetPlan(rules={len(self.gfds)}, roots={len(self.roots)}, "
             f"pivoted={bool(self.pivot_vars)})"
         )
+
+
+#: A trie node as one walk sees it: ``(node, step, children, leaves,
+#: weight)`` — its active child subtrees and leaves, and its weight on the
+#: straggler clock (the number of active rules whose path passes through
+#: it). Built once per node per run, not once per candidate.
+_NodeInfo = Tuple[Optional[TrieNode], Optional[VarStep], List[TrieNode], List[RuleLeaf], int]
 
 
 class RuleSetRun(PoolEngine):
@@ -345,6 +383,21 @@ class RuleSetRun(PoolEngine):
     sound for the whole group at the group's maximum radius, by
     homomorphism data locality (a larger ball only adds nodes no smaller-
     radius rule can reach).
+
+    **Resumable and splittable.** The depth-first state lives in an
+    explicit frame stack (per trie node on the current path: its
+    candidates and two cursors), so :meth:`split` can strip unexplored
+    work while the stream is suspended. This is the trie's counterpart of
+    :meth:`MatcherRun.split` (paper, Example 6), and CbO/LCM's
+    decomposition of a prefix-sharing search tree. Each stripped piece is
+    a member subset plus a slot *prefix*; passing that *prefix* here
+    resumes it: a bound slot's pool is its bound node, so the walk
+    retraces the shared path and still shares everything below it.
+
+    ``ticks`` counts the consistency checks actually made (the cost
+    model's price of shared work); :attr:`clock` is the straggler clock,
+    which counts each check once per active rule whose path passes through
+    the checked node — what the members' own searches would have spent.
     """
 
     def __init__(
@@ -353,6 +406,7 @@ class RuleSetRun(PoolEngine):
         active: Optional[AbstractSet[str]] = None,
         pivot_node: Optional[NodeId] = None,
         allowed_nodes: Optional[AbstractSet[NodeId]] = None,
+        prefix: Optional[Mapping[str, NodeId]] = None,
     ) -> None:
         plan.revalidate()
         self.plan = plan
@@ -371,6 +425,7 @@ class RuleSetRun(PoolEngine):
         else:
             self._preassigned_values: Set[NodeId] = set()
         self._exempt_bits_cache: Optional[int] = None
+        self._prefix = dict(prefix) if prefix else None
         names: Iterable[str] = plan.gfds if active is None else [
             name for name in plan.gfds if name in active
         ]
@@ -385,11 +440,43 @@ class RuleSetRun(PoolEngine):
         #: True when every rule of the plan survived activation — lets the
         #: walk skip per-node membership filtering entirely.
         self._all_active = len(self._active) == len(plan.gfds)
+        #: The straggler clock. Pivot validation is per rule already.
+        self.clock = self.ticks
+        self._infos: Dict[TrieNode, _NodeInfo] = {}
+        #: One frame per trie node on the current path, root frame first:
+        #: ``[info, candidates, index, child_index]`` — the untried
+        #: candidates are ``candidates[index:]`` and, under the accepted
+        #: one, the unwalked child subtrees ``info[2][child_index:]``.
+        self._stack: List[list] = []
+        self._started = False
 
     def active_names(self) -> List[str]:
         """The rules this walk serves (activation ∩ pivot-validated), in
         plan insertion (Σ) order."""
         return [name for name in self.plan.gfds if name in self._active]
+
+    def _info(self, node: TrieNode) -> _NodeInfo:
+        """*node* filtered to this walk's active rules (see :data:`_NodeInfo`)."""
+        info = self._infos.get(node)
+        if info is None:
+            if self._all_active:
+                children = list(node.children.values())
+                info = (node, node.step, children, node.leaves, len(node.rules))
+            else:
+                active = self._active
+                info = (
+                    node,
+                    node.step,
+                    [
+                        child
+                        for child in node.children.values()
+                        if not active.isdisjoint(child.rules)
+                    ],
+                    [leaf for leaf in node.leaves if leaf.gfd_name in active],
+                    len(active.intersection(node.rules)),
+                )
+            self._infos[node] = info
+        return info
 
     # ------------------------------------------------------------------
     # Pivot validation (the slot-space _preassignment_consistent)
@@ -417,34 +504,174 @@ class RuleSetRun(PoolEngine):
 
         Sibling order is trie insertion order (= Σ order), so the stream is
         deterministic; per-rule projections equal the per-rule streams.
+        One pass per run, resumable across :meth:`split`.
         """
         active = self._active
-        if not active:
+        if not active or self._started:
             return
+        self._started = True
+        plan = self.plan
         assignment = self._assignment
-        for leaf in self.plan.root_leaves:
+        stack = self._stack
+        roots = [
+            child
+            for child in plan.roots.values()
+            if self._all_active or not active.isdisjoint(child.rules)
+        ]
+        frame = [(None, None, roots, [], 0), [], 0, 0]
+        stack.append(frame)
+        for leaf in plan.root_leaves:
             if leaf.gfd_name in active:
                 self.match_count += 1
                 yield leaf.gfd_name, leaf.assignment(assignment)
-        all_active = self._all_active
-        for child in self.plan.roots.values():
-            if all_active or not active.isdisjoint(child.rules):
-                yield from self._walk(child)
-
-    def _walk(self, node: TrieNode) -> Iterator[Tuple[str, Assignment]]:
-        step = node.step
-        active = self._active
-        all_active = self._all_active
-        assignment = self._assignment
-        for candidate in self._candidates(step):
-            if not self._node_ok(step, candidate):
+        prefix = self._prefix
+        candidates_of = self._candidates
+        edge_labels = self._edge_labels
+        infos = self._infos
+        info = frame[0]
+        children = info[2]
+        # Checks made since ticks and clock were last stored; both are
+        # stored before every yield, so callers always read them current.
+        ticks = clock = 0
+        while True:
+            child_index = frame[3]
+            if child_index < len(children):
+                # Descend into the next child subtree of the accepted
+                # candidate (an empty pool needs no frame).
+                child = children[child_index]
+                frame[3] = child_index + 1
+                step = child.step
+                if prefix is not None and step.var in prefix:
+                    pool = [prefix[step.var]]
+                else:
+                    pool = candidates_of(step)
+                    if not pool:
+                        continue
+                info = infos.get(child) or self._info(child)
+                frame = [info, pool, 0, 0]
+                stack.append(frame)
+                start = 0
+            else:
+                # The accepted candidate's subtrees are done: try the next.
+                step = info[1]
+                if step is None:  # the root: the walk is complete
+                    stack.pop()
+                    self.ticks += ticks
+                    self.clock += clock
+                    return
+                pool = frame[1]
+                start = frame[2]
+            # The first consistent candidate from ``start``: the residual
+            # check of PoolEngine._node_ok, inlined (one tick per candidate
+            # tried) because a call per candidate is the walk's main cost.
+            checks = step.checks
+            end = len(pool)
+            position = start
+            while position < end:
+                candidate = pool[position]
+                position += 1
+                for src_is_self, dst_is_self, src_var, dst_var, label in checks:
+                    labels = edge_labels.get(
+                        (
+                            candidate if src_is_self else assignment[src_var],
+                            candidate if dst_is_self else assignment[dst_var],
+                        )
+                    )
+                    if not labels or (label is not None and label not in labels):
+                        break
+                else:
+                    break
+            else:
+                ticks += end - start
+                clock += (end - start) * info[4]
+                stack.pop()
+                assignment.pop(step.var, None)
+                frame = stack[-1]
+                info = frame[0]
+                children = info[2]
                 continue
+            ticks += position - start
+            clock += (position - start) * info[4]
+            frame[2] = position
+            frame[3] = 0
             assignment[step.var] = candidate
-            for leaf in node.leaves:
-                if all_active or leaf.gfd_name in active:
+            children = info[2]
+            leaves = info[3]
+            if leaves:
+                self.ticks += ticks
+                self.clock += clock
+                ticks = clock = 0
+                for leaf in leaves:
                     self.match_count += 1
                     yield leaf.gfd_name, leaf.assignment(assignment)
-            for child in node.children.values():
-                if all_active or not active.isdisjoint(child.rules):
-                    yield from self._walk(child)
-        assignment.pop(step.var, None)
+
+    # ------------------------------------------------------------------
+    # Splitting (paper, Example 6)
+    # ------------------------------------------------------------------
+    def _pending_counts(self) -> List[int]:
+        """Unexplored pieces per level, shallowest first: level ``i`` holds
+        the untried candidates of the path's ``i``-th node and its untried
+        sibling subtrees; the last level, the untried subtrees under the
+        deepest node's current candidate."""
+        stack = self._stack
+        counts = []
+        for level in range(1, len(stack) + 1):
+            parent = stack[level - 1]
+            count = len(parent[0][2]) - parent[3]
+            if level < len(stack):
+                frame = stack[level]
+                count += len(frame[1]) - frame[2]
+            counts.append(count)
+        return counts
+
+    def can_split(self) -> bool:
+        """True if unexplored work exists off the current branch: anywhere
+        above the deepest node, or more than one piece at its level."""
+        counts = self._pending_counts()
+        deepest = max(0, len(counts) - 2)
+        return any(counts[:deepest]) or sum(counts[deepest:]) > 1
+
+    def split(
+        self, max_units: Optional[int] = None
+    ) -> List[Tuple[Tuple[str, ...], Dict[str, NodeId]]]:
+        """Strip unexplored work at the shallowest level holding some.
+
+        Returns ``(group, prefix)`` pieces in depth-first order, at most
+        *max_units* of them (the rest stay local). An untried candidate of
+        a trie node becomes a piece binding that node's slot, grouping the
+        active rules through the node; an untried sibling subtree becomes
+        a piece whose prefix stops at its parent, grouping the active
+        rules under it. Groups list rules in Σ order; prefixes exclude
+        :data:`PIVOT_SLOT`. The local walk keeps its current branch.
+        """
+        stack = self._stack
+        for level in range(1, len(stack) + 1):
+            parent = stack[level - 1]
+            frame = stack[level] if level < len(stack) else None
+            candidates = frame[1][frame[2]:] if frame is not None else []
+            siblings = parent[0][2][parent[3]:]
+            if not candidates and not siblings:
+                continue
+            if max_units is not None:
+                candidates = candidates[:max_units]
+                siblings = siblings[: max_units - len(candidates)]
+            if frame is not None:
+                frame[2] += len(candidates)
+            parent[3] += len(siblings)
+            assignment = self._assignment
+            slots = [upper[0][1].var for upper in stack[1:level]]
+            prefix = {slot: assignment[slot] for slot in slots}
+            names = self.active_names()
+            pieces = []
+            if candidates:
+                node = frame[0][0]
+                group = tuple(name for name in names if name in node.rules)
+                for candidate in candidates:
+                    bound = dict(prefix)
+                    bound[node.step.var] = candidate
+                    pieces.append((group, bound))
+            for child in siblings:
+                group = tuple(name for name in names if name in child.rules)
+                pieces.append((group, dict(prefix)))
+            return pieces
+        return []

@@ -125,10 +125,14 @@ class RuntimeConfig:
         Rule-set compilation: generate one *grouped* work unit per
         (pivot-signature group, pivot node) and execute it as a single
         shared-prefix :class:`~repro.matching.ruleset.RuleSetPlan` walk,
-        instead of one unit per (GFD, pivot). Verdicts are unchanged
+        instead of one unit per (GFD, pivot) — Section V-B's multi-query
+        sharing applied across Σ. A straggling walk splits into grouped
+        sub-units that resume the same trie, so sharing survives the
+        split. ``True`` (default). ``False`` runs the paper's per-rule
+        units ``(Q[z], φ)``: the ablation, and the test oracle grouped
+        runs are checked against. Verdicts are the same either way
         (monotone ``Eq``, Church-Rosser); unit counts, split shapes and
-        virtual timings differ. ``False`` (default) keeps the classic
-        per-rule units — the ablation and the correctness oracle.
+        virtual timings differ.
     start_method:
         Process backend only: the ``multiprocessing`` start method
         (``'fork'``, ``'spawn'``, ``'forkserver'``). ``None`` (default)
@@ -223,7 +227,7 @@ class RuntimeConfig:
     use_dependency_order: bool = True
     use_simulation_pruning: bool = True
     use_bitsets: bool = True
-    use_ruleset_plan: bool = False
+    use_ruleset_plan: bool = True
     start_method: Optional[str] = None
     persistent_workers: bool = False
     max_unit_retries: int = 2
@@ -324,7 +328,7 @@ class RuntimeConfig:
         return replace(self, affinity=False, adaptive_batch=False)
 
     def with_ruleset_plan(self) -> "RuntimeConfig":
-        """Grouped work units through the shared-prefix trie."""
+        """Grouped work units through the shared-prefix trie (the default)."""
         return replace(self, use_ruleset_plan=True)
 
     def with_fragments(self, fragments: Optional[int]) -> "RuntimeConfig":

@@ -7,11 +7,15 @@ runtime-agnostic: the simulated backend calls it to obtain true operation
 counts for its virtual clock, and process workers call it on their
 replicas.
 
-Splitting: when the matcher's tick count crosses the TTL budget and
-unexplored sibling branches exist, they are stripped into sub-units
-(paper, Example 6) and returned to the caller, which routes them back to
-the coordinator's queue; the local search then finishes only its current
-branch (and any budget-sized chunks after further splits).
+Splitting: when a unit's straggler clock crosses the TTL budget and
+unexplored branches exist, they are stripped into sub-units (paper,
+Example 6) and returned to the caller, which routes them back to the
+coordinator's queue; the local search then finishes only its current
+branch (and any budget-sized chunks after further splits). A per-rule
+unit splits its :class:`MatcherRun` into longer variable prefixes. A
+grouped unit splits its resumable trie walk into grouped sub-units — a
+member subset plus a slot prefix — that resume the same trie, so the
+members keep sharing every prefix below the split.
 """
 
 from __future__ import annotations
@@ -183,9 +187,13 @@ class UnitContext:
         walk. Pivot variables come from the same deterministic
         :func:`~repro.reasoning.workunits.choose_pivot` the grouped unit
         generator uses, so a unit's ``group`` and the trie's pivoted paths
-        line up on any replica holding an identical graph. Trivial and
-        disconnected rules are excluded — the former execute as no-ops,
-        the latter keep classic ungrouped units.
+        line up on any replica holding an identical graph. Fragment
+        replicas and dQ-balls build their paths from the whole graph's
+        :attr:`plan_orders`, so every trie slot binds the same variable as
+        on the coordinator and split sub-units' slot prefixes mean the same
+        bindings everywhere. Trivial and disconnected rules are excluded —
+        the former execute as no-ops, the latter keep classic ungrouped
+        units.
         """
         if self._ruleset_plan is None:
             from ..matching.ruleset import RuleSetPlan
@@ -200,7 +208,10 @@ class UnitContext:
                     pivot = self.pivot_overrides.get(gfd.name)
                 if pivot is None:
                     pivot = choose_pivot(gfd, self.graph)
-                plan.add(gfd, pivot)
+                order = None
+                if self.plan_orders is not None:
+                    order = self.plan_orders.get(gfd.name)
+                plan.add(gfd, pivot, order)
             self._ruleset_plan = plan
         return self._ruleset_plan
 
@@ -226,13 +237,10 @@ class UnitContext:
                     cached = 1.0
                 elif grouped:
                     cached = 1.0 + self.ruleset_plan().rule_cost(name)
+                elif unit.pivot_var in gfd.pattern.variables:
+                    cached = 1.0 + self.plan_for(gfd).estimated_fanout(unit.pivot_var)
                 else:
-                    bound = [var for var, _ in unit.assignment
-                             if var in gfd.pattern.variables]
-                    if bound:
-                        cached = 1.0 + self.plan_for(gfd).estimated_fanout(bound[0])
-                    else:
-                        cached = 1.0
+                    cached = 1.0
                 self._unit_costs[name] = cached
             cost += cached
         return cost
@@ -490,22 +498,23 @@ def execute_unit(
     the implication variant's ``Y ⊆ Eq_H`` test, evaluated after every
     change. The returned result carries exact operation counts for the
     simulated cost model. Grouped units (``unit.group``) take the
-    shared-prefix trie path instead of the per-rule matcher.
+    shared-prefix trie path (:func:`_execute_grouped_unit`) instead of the
+    per-rule matcher.
     """
+    if not unit.group and context.gfds[unit.gfd_name].is_trivial():
+        return UnitResult(unit)
+    if engine.eq.has_conflict():
+        return UnitResult(unit, conflict=True, completed=False)
     if unit.group:
         return _execute_grouped_unit(
-            unit, context, engine, ttl_ticks=ttl_ticks, goal_check=goal_check
+            unit,
+            context,
+            engine,
+            ttl_ticks=ttl_ticks,
+            max_split_units=max_split_units,
+            goal_check=goal_check,
         )
     gfd = context.gfds[unit.gfd_name]
-    result = UnitResult(unit)
-    if gfd.is_trivial():
-        return result
-    eq = engine.eq
-    if eq.has_conflict():
-        result.conflict = True
-        result.completed = False
-        return result
-    assignment = unit.assignment_dict()
     pivot = unit.pivot_node()
     allowed = context.allowed_nodes(pivot, unit.radius) if pivot is not None else None
     # Fragment replicas pin the whole-graph variable order (shipped via
@@ -517,23 +526,117 @@ def execute_unit(
     run = MatcherRun(
         gfd.pattern,
         context.graph,
-        preassigned=assignment,
+        preassigned=unit.assignment_dict(),
         allowed_nodes=allowed,
         variable_order=order,
         candidate_sets=context.candidate_sets(gfd),
         plan=context.plan_for(gfd),
     )
+
+    def sub_unit(assignment) -> WorkUnit:
+        return WorkUnit.make(
+            unit.gfd_name,
+            assignment,
+            radius=unit.radius,
+            generation=unit.generation + 1,
+            pivot_var=unit.pivot_var,
+        )
+
+    stream = ((gfd, match) for match in run.matches())
+    return _enforce_stream(
+        unit, context, engine, run, stream, sub_unit, "per-rule",
+        ttl_ticks, max_split_units, goal_check,
+    )
+
+
+def _execute_grouped_unit(
+    unit: WorkUnit,
+    context: UnitContext,
+    engine: EnforcementEngine,
+    ttl_ticks: Optional[float] = None,
+    max_split_units: int = 16,
+    goal_check: Optional[Callable[[EqRelation], bool]] = None,
+) -> UnitResult:
+    """Run one grouped unit: all member rules in a single trie walk.
+
+    The shared ``dQ``-ball (the unit's maximum member radius) confines
+    every free slot; the walk validates the pivot per rule and enforces
+    each emitted ``(rule, match)`` pair as it appears — the pipelined
+    shape, across the whole group. A split sub-unit resumes the walk from
+    its slot prefix.
+
+    Straggler handling splits the resumable walk: when its clock (each
+    check counted once per member whose path passes through the checked
+    trie node) crosses the TTL budget, the shallowest unexplored work is
+    stripped into grouped sub-units at generation+1. Each keeps this
+    unit's pivot and radius, binds a slot prefix and groups only the
+    members under it, so the sub-units still share their walk; together
+    with the finished local branch they cover the unsplit walk exactly.
+    """
+    from ..matching.ruleset import PIVOT_SLOT
+
+    pivot = unit.pivot_node()
+    allowed = context.allowed_nodes(pivot, unit.radius) if pivot is not None else None
+    prefix = {slot: node for slot, node in unit.assignment if slot != unit.pivot_var}
+    run = context.ruleset_plan().run(
+        active=frozenset(unit.group),
+        pivot_node=pivot,
+        allowed_nodes=allowed,
+        prefix=prefix,
+    )
+
+    def sub_unit(piece) -> WorkUnit:
+        group, bound = piece
+        bound[PIVOT_SLOT] = pivot
+        return WorkUnit.make(
+            group[0],
+            bound,
+            radius=unit.radius,
+            generation=unit.generation + 1,
+            group=group,
+            pivot_var=PIVOT_SLOT,
+        )
+
+    gfds = context.gfds
+    stream = ((gfds[name], match) for name, match in run.matches())
+    return _enforce_stream(
+        unit, context, engine, run, stream, sub_unit, "ruleset",
+        ttl_ticks, max_split_units, goal_check,
+    )
+
+
+def _enforce_stream(
+    unit: WorkUnit,
+    context: UnitContext,
+    engine: EnforcementEngine,
+    run,
+    stream,
+    sub_unit: Callable[[object], WorkUnit],
+    plan_label: str,
+    ttl_ticks: Optional[float],
+    max_split_units: int,
+    goal_check: Optional[Callable[[EqRelation], bool]],
+) -> UnitResult:
+    """Enforce each ``(gfd, match)`` of *run*'s *stream* as it appears.
+
+    Stops at a conflict or a reached goal. Whenever the run's straggler
+    clock passes the TTL budget and the run can split, its split pieces
+    become sub-units (via *sub_unit*) and the clock budget restarts
+    (paper: "resets τ = 0").
+    """
+    result = UnitResult(unit)
+    eq = engine.eq
     engine.set_evidence_context(
         origin="unit",
-        plan="per-rule",
-        pivot=pivot,
+        plan=plan_label,
+        pivot=unit.pivot_node(),
         fragment=(context.fragment.spec.fragment_id if context.fragment else None),
         unit_uid=unit.uid,
     )
     ops_before = engine.ops
     delta_mark = eq.log_position()
-    next_split_at = ttl_ticks if ttl_ticks is not None else None
-    for match in run.matches():
+    next_split_at = ttl_ticks
+    for gfd, match in stream:
         result.matches += 1
         engine.enforce(gfd, match)
         if eq.has_conflict():
@@ -544,89 +647,10 @@ def execute_unit(
             result.goal_reached = True
             result.completed = False
             break
-        if next_split_at is not None and run.ticks > next_split_at and run.can_split():
-            for sub_assignment in run.split(max_units=max_split_units):
-                result.splits.append(
-                    WorkUnit.make(
-                        unit.gfd_name,
-                        sub_assignment,
-                        radius=unit.radius,
-                        generation=unit.generation + 1,
-                    )
-                )
-            # Reset the straggler clock (paper: "resets τ = 0").
-            next_split_at = run.ticks + (ttl_ticks or 0)
-    result.match_ticks = run.ticks
-    result.enforce_ops = engine.ops - ops_before
-    result.delta_ops = eq.log_position() - delta_mark
-    return result
-
-
-def _execute_grouped_unit(
-    unit: WorkUnit,
-    context: UnitContext,
-    engine: EnforcementEngine,
-    ttl_ticks: Optional[float] = None,
-    goal_check: Optional[Callable[[EqRelation], bool]] = None,
-) -> UnitResult:
-    """Run one grouped unit: all member rules in a single trie walk.
-
-    The shared ``dQ``-ball (the unit's maximum member radius) confines
-    every free slot; the walk validates the pivot per rule and enforces
-    each emitted ``(rule, match)`` pair as it appears — the pipelined
-    shape, across the whole group.
-
-    Straggler handling degroups instead of prefix-splitting: when the walk
-    exceeds the TTL budget, it stops and one *ungrouped* per-rule unit per
-    surviving member is emitted at generation+1. Those re-run their full
-    per-pivot search through the classic matcher path (with its ordinary
-    prefix splitting); re-enforcing matches the aborted walk already
-    produced is a no-op on the monotone ``Eq``.
-    """
-    result = UnitResult(unit)
-    eq = engine.eq
-    if eq.has_conflict():
-        result.conflict = True
-        result.completed = False
-        return result
-    plan = context.ruleset_plan()
-    pivot = unit.pivot_node()
-    allowed = context.allowed_nodes(pivot, unit.radius) if pivot is not None else None
-    run = plan.run(
-        active=frozenset(unit.group), pivot_node=pivot, allowed_nodes=allowed
-    )
-    engine.set_evidence_context(
-        origin="unit",
-        plan="ruleset",
-        pivot=pivot,
-        fragment=(context.fragment.spec.fragment_id if context.fragment else None),
-        unit_uid=unit.uid,
-    )
-    ops_before = engine.ops
-    delta_mark = eq.log_position()
-    for name, match in run.matches():
-        result.matches += 1
-        engine.enforce(context.gfds[name], match)
-        if eq.has_conflict():
-            result.conflict = True
-            result.completed = False
-            break
-        if goal_check is not None and goal_check(eq):
-            result.goal_reached = True
-            result.completed = False
-            break
-        if ttl_ticks is not None and run.ticks > ttl_ticks:
-            for member in run.active_names():
-                pivot_var = plan.pivot_vars[member]
-                result.splits.append(
-                    WorkUnit.make(
-                        member,
-                        {pivot_var: pivot},
-                        radius=context.gfds[member].pattern.eccentricity(pivot_var),
-                        generation=unit.generation + 1,
-                    )
-                )
-            break
+        if next_split_at is not None and run.clock > next_split_at and run.can_split():
+            for piece in run.split(max_units=max_split_units):
+                result.splits.append(sub_unit(piece))
+            next_split_at = run.clock + ttl_ticks
     result.match_ticks = run.ticks
     result.enforce_ops = engine.ops - ops_before
     result.delta_ops = eq.log_position() - delta_mark

@@ -44,7 +44,8 @@ class WorkUnit:
         A fresh unit binds just the pivot; a split unit binds a longer
         prefix (paper, Example 6). Grouped units bind the shared
         :data:`~repro.matching.ruleset.PIVOT_SLOT` instead of a per-rule
-        variable name.
+        variable name, and their split sub-units bind trie slots
+        (``"@0"``, ``"@1"``, ...) after it.
     radius:
         The ``dQ`` locality radius around the pivot node, or None when the
         unit is unrestricted (disconnected patterns). For grouped units
@@ -59,6 +60,11 @@ class WorkUnit:
         Empty for classic per-rule units — and excluded from the uid
         payload in that case, so pre-existing uids (pinned in fault-plan
         scripts and bench baselines) are unchanged.
+    pivot_var:
+        The bound variable (or slot) whose node centres the unit's
+        ``dQ``-ball. Sorting puts it anywhere in ``assignment`` once a
+        split binds more than the pivot, so the unit names it; it defaults
+        to the first binding, which is the pivot of every fresh unit.
     """
 
     gfd_name: str
@@ -66,6 +72,11 @@ class WorkUnit:
     radius: Optional[int] = None
     generation: int = 0
     group: Tuple[str, ...] = ()
+    pivot_var: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        if self.pivot_var is None and self.assignment:
+            object.__setattr__(self, "pivot_var", self.assignment[0][0])
 
     @staticmethod
     def make(
@@ -74,18 +85,20 @@ class WorkUnit:
         radius: Optional[int] = None,
         generation: int = 0,
         group: Tuple[str, ...] = (),
+        pivot_var: Optional[str] = None,
     ) -> "WorkUnit":
         pairs = tuple(sorted(assignment.items(), key=lambda kv: kv[0]))
-        return WorkUnit(gfd_name, pairs, radius, generation, group)
+        return WorkUnit(gfd_name, pairs, radius, generation, group, pivot_var)
 
     def assignment_dict(self) -> Dict[str, NodeId]:
         return dict(self.assignment)
 
     def pivot_node(self) -> Optional[NodeId]:
-        """The first bound node (the pivot for fresh units)."""
-        if not self.assignment:
-            return None
-        return self.assignment[0][1]
+        """The node bound to :attr:`pivot_var` (None for unbound units)."""
+        for var, node in self.assignment:
+            if var == self.pivot_var:
+                return node
+        return None
 
     @property
     def gfd_names(self) -> Tuple[str, ...]:
@@ -106,6 +119,9 @@ class WorkUnit:
         fields = (self.gfd_name, self.assignment, self.radius, self.generation)
         if self.group:
             fields = fields + (self.group,)
+        if len(self.assignment) > 1:
+            # A single binding is its own pivot; only split units name it.
+            fields = fields + (self.pivot_var,)
         payload = repr(fields)
         return hashlib.blake2s(payload.encode("utf-8"), digest_size=10).hexdigest()
 

@@ -148,9 +148,12 @@ class TestProcessSupervision:
     def test_crash_mid_batch_preserves_verdict(self):
         sigma = _delta_hub()
         expected = seq_sat(sigma).satisfiable
+        # Batch 0: the first dispatch pass hands every worker a batch when
+        # there are at least as many units as workers, so the crash fires
+        # whatever the unit count; a later batch index depends on timing.
         config = RuntimeConfig(
             workers=4,
-            fault_plan=FaultPlan.single("crash", worker_id=1, batch_index=1),
+            fault_plan=FaultPlan.single("crash", worker_id=1, batch_index=0),
             **FAST_TIMEOUT,
         )
         result = par_sat(sigma, config, backend="process")
@@ -176,11 +179,14 @@ class TestProcessSupervision:
     def test_respawn_then_converge(self):
         sigma = _delta_hub()
         expected = seq_sat(sigma).satisfiable
+        # No backoff: the respawn is due at the dispatch loop's next pass,
+        # before the run can end, instead of racing the survivors to the
+        # end of the queue.
         config = RuntimeConfig(
             workers=4,
             max_worker_respawns=2,
             fault_plan=FaultPlan.single("crash", worker_id=2, batch_index=0),
-            **FAST_TIMEOUT,
+            **dict(FAST_TIMEOUT, respawn_backoff_seconds=0.0),
         )
         result = par_sat(sigma, config, backend="process")
         assert result.satisfiable == expected

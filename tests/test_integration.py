@@ -48,18 +48,29 @@ def test_parallel_scaling_example_runs():
     assert "speedup" in completed.stdout
 
 
+#: Work-unit shapes: the paper's per-rule units and grouped trie units.
+UNIT_SHAPES = pytest.mark.parametrize(
+    "use_ruleset_plan", [False, True], ids=["per-rule", "grouped"]
+)
+
+
 class TestHeadlineClaims:
+    """The paper's ParSat runs per-rule work units ``(Q[z], φ)``, so these
+    claims are checked on per-rule units (``use_ruleset_plan=False``).
+    Grouped units are a parameter where they meet the claim too."""
+
     def test_parallel_scalability_claim(self):
         """Paper: ParSat is parallel scalable — ~3-4x faster from p=4 to 20."""
         sigma = straggler_workload(seed=21)
-        at_4 = par_sat(sigma, RuntimeConfig(workers=4)).virtual_seconds
-        at_20 = par_sat(sigma, RuntimeConfig(workers=20)).virtual_seconds
+        at_4 = par_sat(sigma, RuntimeConfig(workers=4, use_ruleset_plan=False)).virtual_seconds
+        at_20 = par_sat(sigma, RuntimeConfig(workers=20, use_ruleset_plan=False)).virtual_seconds
         assert at_4 / at_20 >= 2.5
 
-    def test_splitting_claim(self):
+    @UNIT_SHAPES
+    def test_splitting_claim(self, use_ruleset_plan):
         """Paper: splitting beats no-splitting markedly at high p."""
         sigma = straggler_workload(seed=22)
-        config = RuntimeConfig(workers=20)
+        config = RuntimeConfig(workers=20, use_ruleset_plan=use_ruleset_plan)
         with_split = par_sat(sigma, config).virtual_seconds
         without = par_sat(sigma, config.without_splitting()).virtual_seconds
         assert without / with_split >= 1.5
@@ -67,16 +78,18 @@ class TestHeadlineClaims:
     def test_pipelining_claim(self):
         """Paper: pipelining improves ParSat ~1.5x."""
         sigma = straggler_workload(seed=23)
-        config = RuntimeConfig(workers=8)
+        config = RuntimeConfig(workers=8, use_ruleset_plan=False)
         pipelined = par_sat(sigma, config).virtual_seconds
         not_pipelined = par_sat(sigma, config.without_pipelining()).virtual_seconds
         assert not_pipelined / pipelined >= 1.2
 
-    def test_parsat_beats_seqsat_at_p4(self):
+    @UNIT_SHAPES
+    def test_parsat_beats_seqsat_at_p4(self, use_ruleset_plan):
         """Paper Exp-2: ParSat ~3.1x faster than SeqSat at p=4."""
         workload = synthetic_sat_workload(150, k=6, l=5, seed=24)
         seq_cost = sequential_virtual_seconds(seq_sat(workload.sigma))
-        par_cost = par_sat(workload.sigma, RuntimeConfig(workers=4)).virtual_seconds
+        config = RuntimeConfig(workers=4, use_ruleset_plan=use_ruleset_plan)
+        par_cost = par_sat(workload.sigma, config).virtual_seconds
         assert seq_cost / par_cost >= 2.0
 
     def test_growth_with_sigma(self):

@@ -13,8 +13,8 @@ each tested here against the per-rule path as the correctness oracle:
   (and identical violation lists / step outcomes) with the flag on or off;
 * **parallel** — grouped work units produce the same verdicts as per-rule
   units on both backends, under a seeded :class:`FaultPlan`, and
-  with the affinity scheduler on or off; TTL breaches degroup instead of
-  losing work.
+  with the affinity scheduler on or off; TTL breaches split the trie walk
+  without losing work.
 
 Epoch discipline gets its own section: a watched absent label appearing
 via ``apply_delta`` must rebuild the trie, and the rebuilt walk must agree
@@ -313,9 +313,11 @@ class TestGroupedUnits:
         assert grouped.uid != legacy_uid
         assert grouped.gfd_names == ("phi", "psi")
 
-    def test_ttl_breach_degroups_without_losing_work(self):
+    def test_ttl_breach_splits_without_losing_work(self):
         sigma = small_sigma(seed=3, count=18, consistent=False)
-        expected = par_sat(sigma, RuntimeConfig(workers=2)).satisfiable
+        expected = par_sat(
+            sigma, RuntimeConfig(workers=2, use_ruleset_plan=False)
+        ).satisfiable
         tight = RuntimeConfig(workers=2, ttl_seconds=1e-3).with_ruleset_plan()
         result = par_sat(sigma, tight)
         assert result.satisfiable == expected
@@ -327,7 +329,9 @@ class TestParallelGroupedDifferential:
     @pytest.mark.parametrize("seed,consistent", [(1, True), (2, False)])
     def test_par_sat_verdicts_agree(self, backend, seed, consistent):
         sigma = small_sigma(seed=seed, count=14, consistent=consistent)
-        base = par_sat(sigma, RuntimeConfig(workers=3), backend=backend)
+        base = par_sat(
+            sigma, RuntimeConfig(workers=3, use_ruleset_plan=False), backend=backend
+        )
         trie = par_sat(
             sigma, RuntimeConfig(workers=3).with_ruleset_plan(), backend=backend
         )
@@ -339,7 +343,7 @@ class TestParallelGroupedDifferential:
         phi = sigma[2]
         rest = [gfd for gfd in sigma if gfd.name != phi.name]
         expected = seq_imp(rest, phi).implied
-        base = par_imp(rest, phi, RuntimeConfig(workers=3))
+        base = par_imp(rest, phi, RuntimeConfig(workers=3, use_ruleset_plan=False))
         trie = par_imp(rest, phi, RuntimeConfig(workers=3).with_ruleset_plan())
         assert base.implied == expected
         assert trie.implied == expected

@@ -335,7 +335,10 @@ class TestOutcomeAccounting:
             num_hubs=4, spokes_per_hub=10, num_writers=5, num_pairers=2,
             num_background=8, seed=7,
         )
-        config = RuntimeConfig(workers=3)
+        # Far fewer round trips is a property of per-rule units, hundreds
+        # of them here; grouped units are few enough that batching barely
+        # matters.
+        config = RuntimeConfig(workers=3, use_ruleset_plan=False)
         affinity = par_sat(sigma, config, backend="process").outcome
         fixed = par_sat(
             sigma, config.without_affinity(), backend="process"
