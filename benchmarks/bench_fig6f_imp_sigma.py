@@ -12,6 +12,7 @@ from repro.chase.rdf import rdf_imp
 from repro.parallel import RuntimeConfig, par_imp, par_imp_nb, par_imp_np
 from repro.reasoning import seq_imp
 
+from bench_ruleset import per_rule_imp
 from conftest import run_once
 
 SIZES = (50, 100, 200)
@@ -21,13 +22,6 @@ SIZES = (50, 100, 200)
 def test_fig6f_seqimp(benchmark, synthetic_imp_by_size, size):
     workload = synthetic_imp_by_size[size]
     run_once(benchmark, seq_imp, workload.sigma, workload.phi)
-
-
-@pytest.mark.parametrize("size", SIZES)
-def test_fig6f_seqimp_ruleset(benchmark, synthetic_imp_by_size, size):
-    """The rule-set-compiled (shared-prefix trie) sequential run."""
-    workload = synthetic_imp_by_size[size]
-    run_once(benchmark, seq_imp, workload.sigma, workload.phi, use_ruleset_plan=True)
 
 
 @pytest.mark.parametrize("size", SIZES)
@@ -59,7 +53,7 @@ def test_fig6f_parimprdf(benchmark, synthetic_imp_rdf_by_size, size):
 def test_fig6f_verdicts_agree(synthetic_imp_by_size, synthetic_imp_rdf_by_size):
     for workload in synthetic_imp_by_size.values():
         expected = seq_imp(workload.sigma, workload.phi).implied
-        assert seq_imp(workload.sigma, workload.phi, use_ruleset_plan=True).implied == expected
+        assert per_rule_imp(workload.sigma, workload.phi)[0] == expected
         assert par_imp(workload.sigma, workload.phi, RuntimeConfig(workers=4)).implied == expected
     # The RDF baseline is checked on its own (chordless) workload, against
     # the sequential verdict for that same workload.
@@ -70,18 +64,18 @@ def test_fig6f_verdicts_agree(synthetic_imp_by_size, synthetic_imp_rdf_by_size):
 
 
 def test_fig6f_ruleset_speedup(synthetic_imp_by_size):
-    """Shared-prefix compilation beats the per-rule loop at the largest
-    |Σ| point (wall clock; the acceptance target is 1.5x, asserted here
-    with slack for noisy runners — BENCH_ruleset.json records the real
-    ratio)."""
+    """SeqImp's shared-prefix trie walk beats the per-rule reference loop
+    of ``bench_ruleset.py`` at the largest |Σ| point (wall clock; the
+    acceptance target is 1.5x, asserted here with slack for noisy runners
+    — BENCH_ruleset.json records the real ratio)."""
     import time
 
     workload = synthetic_imp_by_size[200]
     started = time.perf_counter()
-    base = seq_imp(workload.sigma, workload.phi, use_ruleset_plan=False)
+    implied, _ = per_rule_imp(workload.sigma, workload.phi)
     per_rule = time.perf_counter() - started
     started = time.perf_counter()
-    trie = seq_imp(workload.sigma, workload.phi, use_ruleset_plan=True)
+    trie = seq_imp(workload.sigma, workload.phi)
     ruleset = time.perf_counter() - started
-    assert trie.implied == base.implied
+    assert trie.implied == implied
     assert per_rule / ruleset >= 1.2

@@ -164,15 +164,12 @@ def fig6e_sat_varying_sigma(
     workers: int = 4,
     seed: int = 42,
 ) -> Experiment:
-    """SeqSat / SeqSat-RS / ParSat / ParSatnp / ParSatnb as ``|Σ|`` grows
-    (Fig. 6(e)). Paper: all grow with |Σ|; ParSat beats SeqSat ~3.14x at
-    p=4. SeqSat-RS is the rule-set-compiled run (shared-prefix plan trie).
-    In *virtual* seconds (tick-counted, what this figure plots) SeqSat-RS
-    tracks SeqSat — the trie trades dual-simulation pruning for prefix
-    sharing, so its tick count is similar; the trie's win on sat is
-    wall-clock (one pass over Σ instead of |Σ| passes), recorded in
-    ``BENCH_ruleset.json``. Sweep points are prefixes of one rule set, so
-    growth in |Σ| is measured on supersets."""
+    """SeqSat / ParSat / ParSatnp / ParSatnb as ``|Σ|`` grows (Fig. 6(e)).
+    Paper: all grow with |Σ|; ParSat beats SeqSat ~3.14x at p=4. SeqSat
+    matches all of Σ in one shared-prefix plan trie walk; its comparison
+    with a per-rule loop is recorded in ``BENCH_ruleset.json``. Sweep
+    points are prefixes of one rule set, so growth in |Σ| is measured on
+    supersets."""
     experiment = Experiment(
         "fig6e", "Satisfiability varying |Σ| (synthetic, k=6, l=5)", "|Σ|",
         notes=f"p={workers}; |Σ| sweep scaled ~20x down from the paper's 2000-10000",
@@ -183,8 +180,6 @@ def fig6e_sat_varying_sigma(
         config = RuntimeConfig(workers=workers)
         seq_result = seq_sat(workload.sigma)
         experiment.series_named("SeqSat").add(size, sequential_virtual_seconds(seq_result))
-        experiment.series_named("SeqSat-RS").add(
-            size, sequential_virtual_seconds(seq_sat(workload.sigma, use_ruleset_plan=True)))
         experiment.series_named("ParSat").add(size, par_sat(workload.sigma, config).virtual_seconds)
         experiment.series_named("ParSatnp").add(size, par_sat_np(workload.sigma, config).virtual_seconds)
         experiment.series_named("ParSatnb").add(size, par_sat_nb(workload.sigma, config).virtual_seconds)
@@ -196,10 +191,9 @@ def fig6f_imp_varying_sigma(
     workers: int = 4,
     seed: int = 42,
 ) -> Experiment:
-    """SeqImp / SeqImp-RS / ParImp / variants / ParImpRDF as ``|Σ|`` grows
-    (Fig. 6(f)). Paper: ParImp ~3.1x over SeqImp and ~4.8x over ParImpRDF
-    on average. SeqImp-RS matches all checkers through the shared-prefix
-    trie. Sweep points are prefixes of one rule set. The RDF baseline runs
+    """SeqImp / ParImp / variants / ParImpRDF as ``|Σ|`` grows (Fig. 6(f)).
+    Paper: ParImp ~3.1x over SeqImp and ~4.8x over ParImpRDF on average.
+    Sweep points are prefixes of one rule set. The RDF baseline runs
     the chordless-seeker variant of the same sweep (the naive reified
     chase is exponential on chord seekers — see
     ``synthetic_imp_workload``), which narrows, never widens, the measured
@@ -217,12 +211,6 @@ def fig6f_imp_varying_sigma(
         config = RuntimeConfig(workers=workers)
         seq_result = seq_imp(workload.sigma, workload.phi)
         experiment.series_named("SeqImp").add(size, sequential_virtual_seconds(seq_result))
-        experiment.series_named("SeqImp-RS").add(
-            size,
-            sequential_virtual_seconds(
-                seq_imp(workload.sigma, workload.phi, use_ruleset_plan=True)
-            ),
-        )
         experiment.series_named("ParImp").add(
             size, par_imp(workload.sigma, workload.phi, config).virtual_seconds)
         experiment.series_named("ParImpnp").add(

@@ -33,11 +33,10 @@ retried, respawned, or degraded around. ``--fragments N`` edge-cuts the
 canonical graph into N partitions with halo replication: fragment id
 becomes the scheduler's locality key, and process workers hold per-
 fragment replicas (cross-fragment pivots get shipped dQ-balls) instead
-of whole-graph snapshots. ``--ruleset-plan`` (``sat``,
-``imp``, ``detect``, ``explain``) compiles Σ into one shared-prefix plan
-trie matched in a single pass instead of looping over the rules. Parallel
-runs (``sat --parallel``) group their work units per pivot this way by
-default, with or without the flag.
+of whole-graph snapshots. Sequential ``sat``, ``imp``, ``detect`` and
+``explain`` runs match all of Σ in one pass over a shared-prefix plan
+trie, and parallel runs group their work units per pivot the same way;
+``--ruleset-plan`` is still accepted, and changes nothing.
 
 Exit codes: 0 success (satisfiable / implied / no violations), 2 usage or
 input error, 3 negative verdict (unsatisfiable / not implied / violations
@@ -99,8 +98,6 @@ def _runtime_config(args: argparse.Namespace) -> RuntimeConfig:
     )
     if args.no_affinity:
         config = config.without_affinity()
-    if args.ruleset_plan:
-        config = config.with_ruleset_plan()
     return config
 
 
@@ -128,7 +125,7 @@ def cmd_sat(args: argparse.Namespace) -> int:
             clock = f"wall_seconds={result.wall_seconds:.3f}"
         print(f"units={result.outcome.units_executed} {clock}")
     else:
-        result = seq_sat(sigma, use_ruleset_plan=args.ruleset_plan)
+        result = seq_sat(sigma)
         verdict, conflict = result.satisfiable, result.conflict
         print(f"matches={result.stats.matches} wall_seconds={result.stats.wall_seconds:.3f}")
     if verdict:
@@ -159,7 +156,7 @@ def cmd_imp(args: argparse.Namespace) -> int:
             backend=args.backend,
         )
     else:
-        result = seq_imp(rest, phi, use_ruleset_plan=args.ruleset_plan)
+        result = seq_imp(rest, phi)
     if result.implied:
         print(f"IMPLIED ({result.reason}): Σ \\ {{{phi.name}}} |= {phi.name}")
         return 0
@@ -170,9 +167,7 @@ def cmd_imp(args: argparse.Namespace) -> int:
 def cmd_detect(args: argparse.Namespace) -> int:
     graph = load_graph(args.graph)
     sigma = load_rules(args.rules)
-    violations = detect_errors(
-        graph, sigma, limit_per_gfd=args.limit, use_ruleset_plan=args.ruleset_plan
-    )
+    violations = detect_errors(graph, sigma, limit_per_gfd=args.limit)
     for violation in violations:
         print(violation)
     print(f"# {len(violations)} violation(s) in {graph.num_nodes}-node graph", file=sys.stderr)
@@ -189,9 +184,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
     sigma = load_rules(args.rules)
     if args.graph:
         graph = load_graph(args.graph)
-        store = detect_errors_store(
-            graph, sigma, limit_per_gfd=args.limit, use_ruleset_plan=args.ruleset_plan
-        )
+        store = detect_errors_store(graph, sigma, limit_per_gfd=args.limit)
         if args.json:
             print(store.dumps())
             return EXIT_NEGATIVE if store.violations else 0
@@ -207,7 +200,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
                 print(f"  {number}. {op}")
             print(f"  rules involved: {', '.join(explanation.gfds_involved)}")
         return EXIT_NEGATIVE
-    result = seq_sat(sigma, use_ruleset_plan=args.ruleset_plan)
+    result = seq_sat(sigma)
     store = result.results
     if args.json:
         print(store.dumps())
@@ -342,9 +335,9 @@ def _add_ruleset_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--ruleset-plan",
         action="store_true",
-        help="compile Σ into one shared-prefix plan trie matched in a "
-        "single pass instead of looping over the rules (sat --parallel "
-        "groups its work units this way by default)",
+        help="no effect, kept so existing scripts still parse: every "
+        "sequential run walks one shared-prefix plan trie over Σ, and "
+        "sat --parallel groups its work units the same way",
     )
 
 

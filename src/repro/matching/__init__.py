@@ -2,11 +2,13 @@
 pruning.
 
 The candidate pipeline: :func:`simulation_candidates` computes the dual-
-simulation pre-filter (Section V optimization) that the reasoning layers
-hand to :class:`MatcherRun` as ``candidate_sets``; the matcher intersects
-it with label buckets, anchored adjacency groups and ``allowed_nodes``
-neighborhoods — as plain sets or word-level
-:class:`~repro.graph.bitset.NodeBitset` vectors, interchangeably.
+simulation pre-filter (Section V optimization) that cuts the pools of the
+sequential rule-set walk (:func:`~repro.matching.ruleset.sequential_run`)
+and of ParSat's per-rule :class:`MatcherRun` units (as
+``candidate_sets``); the walkers intersect it with label buckets,
+anchored adjacency groups and ``allowed_nodes`` neighborhoods — as plain
+sets or word-level :class:`~repro.graph.bitset.NodeBitset` vectors,
+interchangeably.
 """
 
 from .homomorphism import (

@@ -107,8 +107,8 @@ class PoolEngine:
         GraphIndex`;
     ``_assignment``
         the current (partial) assignment the checks read;
-    ``allowed_nodes`` / ``candidate_sets``
-        the optional pool filters (sets or bitset views);
+    ``allowed_nodes``
+        the optional locality filter (a set or a bitset view);
     ``_preassigned_values`` / ``_exempt_bits_cache``
         the pivot images exempt from ``allowed_nodes``;
     ``ticks``
@@ -144,7 +144,9 @@ class PoolEngine:
     # ------------------------------------------------------------------
     # Candidate generation
     # ------------------------------------------------------------------
-    def _candidates(self, step: VarStep) -> List[NodeId]:
+    def _candidates(
+        self, step: VarStep, restriction: Optional["CandidateSet"] = None
+    ) -> List[NodeId]:
         """Candidate target nodes for *step* given the current assignment.
 
         Anchored variables expand through the index's label-grouped
@@ -156,7 +158,8 @@ class PoolEngine:
         pools iterate in graph insertion order — match streams are
         deterministic regardless of set hashing.
 
-        ``allowed_nodes`` / ``candidate_sets`` entries may be plain sets or
+        *restriction* is the step's candidate cut (a dual-simulation set,
+        or ``None``). It and ``allowed_nodes`` may be plain sets or
         :class:`~repro.graph.bitset.NodeBitset` views. When a bitset was
         packed over *this* run's index (universe identity), every filter
         whose base pool already iterates in graph insertion order — label
@@ -169,9 +172,6 @@ class PoolEngine:
         """
         index = self._index
         allowed = self.allowed_nodes
-        restriction = (
-            self.candidate_sets.get(step.var) if self.candidate_sets is not None else None
-        )
         # Word-level views, valid only when the filter was packed over this
         # very index; a bitset over some other index (e.g. a component
         # subgraph's) falls back to membership filtering below.
@@ -520,7 +520,7 @@ class MatcherRun(PoolEngine):
         steps = self._steps
         if not stack:
             first = steps[0]
-            stack.append(_Frame(first.var, self._candidates(first), step=first))
+            stack.append(_Frame(first.var, self._pool(first), step=first))
         while stack:
             frame = stack[-1]
             advanced = False
@@ -545,8 +545,12 @@ class MatcherRun(PoolEngine):
                 self._assignment.pop(frame.var, None)
                 continue
             next_step = steps[len(stack)]
-            stack.append(_Frame(next_step.var, self._candidates(next_step), step=next_step))
+            stack.append(_Frame(next_step.var, self._pool(next_step), step=next_step))
         self._exhausted = True
+
+    def _pool(self, step: VarStep) -> List[NodeId]:
+        sets = self.candidate_sets
+        return self._candidates(step, None if sets is None else sets.get(step.var))
 
     # ------------------------------------------------------------------
     # Splitting (paper, Example 6)

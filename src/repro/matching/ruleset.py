@@ -1,16 +1,18 @@
 """Rule-set compilation: one shared-prefix plan trie for all of Σ.
 
-``seq_sat`` / ``seq_imp`` / ``find_violations`` historically iterated rules
-one at a time, re-matching pattern prefixes that production rule sets share
-heavily — wall time grows linearly in |Σ| even when most of the per-rule
-work is identical. :class:`RuleSetPlan` merges the compiled variable orders
-of *all* patterns in Σ into a trie whose nodes are shared (label,
-edge-constraint) prefixes: each shared prefix is matched **once** per pivot
-and partial assignments fan out only where rules diverge. Leaves carry the
-per-GFD residual — the slot→variable renaming that turns a trie assignment
-back into that rule's match, on which the caller evaluates literals. (The
-same prefix-reuse trick makes CbO/LCM-style closed-set enumeration fast —
-see "LCM from FCA Point of View" in PAPERS.md.)
+Matching rules one at a time re-matches the pattern prefixes that
+production rule sets share heavily — wall time grows linearly in |Σ| even
+when most of the per-rule work is identical. :class:`RuleSetPlan` merges
+the compiled variable orders of *all* patterns in Σ into a trie whose
+nodes are shared (label, edge-constraint) prefixes: each shared prefix is
+matched **once** per pivot and partial assignments fan out only where
+rules diverge. Leaves carry the per-GFD residual — the slot→variable
+renaming that turns a trie assignment back into that rule's match, on
+which the caller evaluates literals. (The same prefix-reuse trick makes
+CbO/LCM-style closed-set enumeration fast — see "LCM from FCA Point of
+View" in PAPERS.md.) Every sequential caller — ``seq_sat``, ``seq_imp``,
+error detection and ``IncrementalSat`` — matches through this trie, and
+so do ParSat/ParImp's grouped work units.
 
 **Why sharing is sound, per rule and byte-for-byte.** Each rule's root-to-
 leaf path in the trie is exactly its compiled :class:`~repro.matching.plan.
@@ -24,6 +26,15 @@ byte-identical to that rule's own :class:`~repro.matching.homomorphism.
 MatcherRun` stream. Verdicts are then order-independent by the
 Church-Rosser property of the monotone ``Eq`` chase, which is what lets the
 reasoning layers interleave enforcement across rules mid-walk.
+
+**Simulation cuts stay sound.** :func:`sequential_run` prunes by dual
+simulation inside the walk: a rule whose simulation is empty never enters
+the trie, and each node's pool is cut to the union of the simulation sets
+of the variables its rules bind there. Every match of a rule maps each
+variable into that variable's simulation set, so the cut removes no
+candidate any rule's match passes through; pools keep graph insertion
+order, so per-rule projections stay byte-identical to :class:`MatcherRun`
+with or without the cut.
 
 **Splitting keeps the walk shared.** :class:`RuleSetRun` keeps its
 depth-first state in an explicit frame stack, so a straggling walk can
@@ -44,6 +55,8 @@ per-pattern plans otherwise.
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import or_
 from typing import (
     AbstractSet,
     Dict,
@@ -63,6 +76,7 @@ from ..gfd.pattern import Pattern
 from ..graph.elements import NodeId, is_wildcard
 from ..graph.graph import PropertyGraph
 from ..graph.index import NO_LABEL
+from . import simulation
 from .homomorphism import (
     Assignment,
     PoolEngine,
@@ -70,6 +84,7 @@ from .homomorphism import (
     node_label_matches,
 )
 from .plan import StepSignature, VarStep, get_plan, step_branch_estimate, step_signature
+from .simulation import CandidateSet
 
 __all__ = [
     "PIVOT_SLOT",
@@ -78,6 +93,7 @@ __all__ = [
     "RuleSetRun",
     "TrieNode",
     "pivot_signature",
+    "sequential_run",
 ]
 
 #: The slot name of the preassigned pivot variable in pivoted tries.
@@ -109,7 +125,7 @@ def pivot_signature(pattern: Pattern, pivot_var: str) -> Tuple:
 class TrieNode:
     """One shared (label, edge-constraint) prefix step of the trie."""
 
-    __slots__ = ("signature", "step", "children", "leaves", "rules", "depth", "estimated_fanout")
+    __slots__ = ("signature", "step", "children", "leaves", "rules", "variables", "depth")
 
     def __init__(self, signature: StepSignature, step: VarStep, depth: int) -> None:
         self.signature = signature
@@ -121,10 +137,10 @@ class TrieNode:
         #: Names of every rule whose path passes through this node — the
         #: subtree-skip filter for walks restricted to a unit's group.
         self.rules: Set[str] = set()
+        #: Each of those rules' pattern variable bound at this node — what
+        #: a simulation cut unions over.
+        self.variables: Dict[str, str] = {}
         self.depth = depth
-        #: Estimated partial assignments alive at this node (prefix product
-        #: of per-step branch estimates) — the scheduler's cost signal.
-        self.estimated_fanout = 0.0
 
     def __repr__(self) -> str:  # pragma: no cover - diagnostics only
         return (
@@ -220,9 +236,7 @@ class RuleSetPlan:
         slot_of: Dict[str, str] = {}
         if pivot_var is not None:
             slot_of[pivot_var] = PIVOT_SLOT
-        index = self.index
         node: Optional[TrieNode] = None
-        cost = 0.0
         for depth, step in enumerate(layout.steps):
             self_slot = f"@{depth}"
             signature = step_signature(step, slot_of, self_slot)
@@ -230,13 +244,10 @@ class RuleSetPlan:
             child = children.get(signature)
             if child is None:
                 child = TrieNode(signature, self._compile_slot_step(signature, depth), depth)
-                branch_estimate = step_branch_estimate(index, child.step)
-                parent_fanout = 1.0 if node is None else node.estimated_fanout
-                child.estimated_fanout = parent_fanout * branch_estimate
                 children[signature] = child
             child.rules.add(name)
+            child.variables[name] = step.var
             node = child
-            cost += node.estimated_fanout
             slot_of[step.var] = self_slot
         slot_vars = tuple((slot, var) for var, slot in slot_of.items())
         leaf = RuleLeaf(name, slot_vars)
@@ -245,7 +256,6 @@ class RuleSetPlan:
         else:
             node.leaves.append(leaf)
         self._leaf_count[name] = self._leaf_count.get(name, 0) + 1
-        self._rule_costs[name] = cost
 
     def _compile_slot_step(self, signature: StepSignature, depth: int) -> VarStep:
         label_str, anchor_slot, anchor_out, anchor_label_str, checks_sig = signature
@@ -283,7 +293,7 @@ class RuleSetPlan:
         object was replaced (compaction) or a watched absent label appeared
         — interning is append-only, so compiled label ids cannot otherwise
         stale. Rebuilding re-pulls the shared per-pattern plans, so the
-        trie and the per-rule ablation always agree on layouts.
+        trie and per-rule matchers always agree on layouts.
         """
         index = self.graph.index()
         if index is self.index and index.epoch == self.epoch:
@@ -310,9 +320,29 @@ class RuleSetPlan:
     # Cost + grouping signals
     # ------------------------------------------------------------------
     def rule_cost(self, name: str) -> float:
-        """Estimated search-tree size of *name*'s path (sum of the prefix
-        products along it) — the per-rule share of a unit's cost."""
-        return self._rule_costs.get(name, 1.0)
+        """Estimated search-tree size of *name*'s path (the sum, over its
+        nodes, of the prefix products of per-step branch estimates) — the
+        per-rule share of a unit's cost; 1.0 for a rule not in the trie.
+
+        Priced on first request, because the estimates read index
+        statistics that every delta resets: walks that never price units
+        (the sequential callers) never pay for a refill.
+        """
+        if name not in self.gfds:
+            return 1.0
+        cost = self._rule_costs.get(name)
+        if cost is None:
+            cost, fanout = 0.0, 1.0
+            children: Iterable[TrieNode] = self.roots.values()
+            while True:
+                node = next((child for child in children if name in child.rules), None)
+                if node is None:
+                    break
+                fanout *= step_branch_estimate(self.index, node.step)
+                cost += fanout
+                children = node.children.values()
+            self._rule_costs[name] = cost
+        return cost
 
     def nodes(self) -> Iterator[TrieNode]:
         """All trie nodes, preorder (diagnostics and tests)."""
@@ -382,7 +412,10 @@ class RuleSetRun(PoolEngine):
     and *allowed_nodes* confines every free slot to the unit's dQ-ball —
     sound for the whole group at the group's maximum radius, by
     homomorphism data locality (a larger ball only adds nodes no smaller-
-    radius rule can reach).
+    radius rule can reach). *candidate_sets* maps rule names to their
+    per-variable candidate restrictions (dual-simulation sets; a rule
+    absent from it is unrestricted); each node's pool is cut to the union
+    over its active rules (see :meth:`_cut`).
 
     **Resumable and splittable.** The depth-first state lives in an
     explicit frame stack (per trie node on the current path: its
@@ -407,6 +440,7 @@ class RuleSetRun(PoolEngine):
         pivot_node: Optional[NodeId] = None,
         allowed_nodes: Optional[AbstractSet[NodeId]] = None,
         prefix: Optional[Mapping[str, NodeId]] = None,
+        candidate_sets: Optional[Mapping[str, Mapping[str, CandidateSet]]] = None,
     ) -> None:
         plan.revalidate()
         self.plan = plan
@@ -415,7 +449,8 @@ class RuleSetRun(PoolEngine):
         self._edge_labels = index.edge_labels
         self._node_label_id = index.node_label_id
         self.allowed_nodes = allowed_nodes
-        self.candidate_sets = None
+        self.candidate_sets = candidate_sets
+        self._cuts: Dict[TrieNode, Optional[CandidateSet]] = {}
         self.ticks = 0
         self.match_count = 0
         self._assignment: Dict[str, NodeId] = {}
@@ -478,6 +513,20 @@ class RuleSetRun(PoolEngine):
             self._infos[node] = info
         return info
 
+    def _cut(self, node: TrieNode) -> Optional[CandidateSet]:
+        """The pool cut of *node*: the union of the candidate sets of the
+        variables its active rules bind there (one rule's set as is), or
+        ``None`` when one of those rules is unrestricted."""
+        if node not in self._cuts:
+            sets = self.candidate_sets
+            names = [name for name in node.variables if name in self._active]
+            self._cuts[node] = (
+                reduce(or_, (sets[name][node.variables[name]] for name in names))
+                if all(name in sets for name in names)
+                else None
+            )
+        return self._cuts[node]
+
     # ------------------------------------------------------------------
     # Pivot validation (the slot-space _preassignment_consistent)
     # ------------------------------------------------------------------
@@ -526,6 +575,7 @@ class RuleSetRun(PoolEngine):
                 yield leaf.gfd_name, leaf.assignment(assignment)
         prefix = self._prefix
         candidates_of = self._candidates
+        cut_of = None if self.candidate_sets is None else self._cut
         edge_labels = self._edge_labels
         infos = self._infos
         info = frame[0]
@@ -544,7 +594,7 @@ class RuleSetRun(PoolEngine):
                 if prefix is not None and step.var in prefix:
                     pool = [prefix[step.var]]
                 else:
-                    pool = candidates_of(step)
+                    pool = candidates_of(step, None if cut_of is None else cut_of(child))
                     if not pool:
                         continue
                 info = infos.get(child) or self._info(child)
@@ -675,3 +725,29 @@ class RuleSetRun(PoolEngine):
                 pieces.append((group, dict(prefix)))
             return pieces
         return []
+
+
+def sequential_run(
+    graph: PropertyGraph, gfds: Iterable[GFD], use_simulation_pruning: bool = True
+) -> Tuple[RuleSetRun, int]:
+    """One whole-graph walk over the non-trivial rules of *gfds*, and the
+    number of rules dual simulation pruned.
+
+    Rules enter the trie in the given order, which is therefore the walk's
+    sibling order. With *use_simulation_pruning* (the paper's ablation), a
+    rule whose dual simulation on *graph* is empty never enters the trie,
+    and the others' simulation sets cut the pools along their paths.
+    ``simulation_candidates`` is looked up on its module at call time, so
+    the benchmark suite's tracer, which rebinds it there, sees the calls.
+    """
+    rules = [gfd for gfd in gfds if not gfd.is_trivial()]
+    if not use_simulation_pruning:
+        return RuleSetRun(RuleSetPlan(graph, rules)), 0
+    candidate_sets = {}
+    for gfd in rules:
+        found = simulation.simulation_candidates(gfd.pattern, graph)
+        if found is not None:
+            candidate_sets[gfd.name] = found
+    kept = [gfd for gfd in rules if gfd.name in candidate_sets]
+    run = RuleSetRun(RuleSetPlan(graph, kept), candidate_sets=candidate_sets)
+    return run, len(rules) - len(kept)

@@ -275,12 +275,10 @@ def simulation_candidates(
 ) -> Optional[Dict[str, CandidateSet]]:
     """The candidate pre-filter entry point for pivoted matching.
 
-    This is the function the reasoning layers
-    (:func:`~repro.reasoning.seqsat.seq_sat`,
-    :func:`~repro.reasoning.seqimp.seq_imp`, ``UnitContext``,
-    :func:`~repro.reasoning.validation.find_violations`) call to obtain
-    ``candidate_sets`` for :class:`~repro.matching.homomorphism.MatcherRun`:
-    the maximal dual simulation restricted per variable
+    :func:`~repro.matching.ruleset.sequential_run` (the walk of
+    ``seq_sat``, ``seq_imp`` and error detection) and ``UnitContext`` call
+    it to obtain candidate sets for their pools: the maximal dual
+    simulation restricted per variable
     (``candidates(v) ⊆ sim(v)``), or ``None`` when the pattern provably has
     no match. Semantically identical to :func:`dual_simulation`; the
     separate name marks call sites using it as a matcher pre-filter rather

@@ -28,7 +28,6 @@ from ..reasoning.workunits import (
     WorkUnit,
     generate_grouped_work_units,
     generate_pruned_work_units,
-    generate_work_units,
     order_units,
 )
 from .backends import get_backend

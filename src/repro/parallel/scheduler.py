@@ -71,10 +71,10 @@ class Scheduler:
         self.affinity = bool(config.affinity and context is not None)
         self._context = context
         #: Cost feedback: pinning consults the context's per-unit search
-        #: cost estimate (plan/trie ``estimated_fanout``), so an oversized
-        #: locality group spills to the global queue *at enqueue time*
-        #: instead of waiting for the fair-share cap to repair the
-        #: imbalance batch by batch.
+        #: cost estimate (plan ``estimated_fanout``, trie ``rule_cost``),
+        #: so an oversized locality group spills to the global queue *at
+        #: enqueue time* instead of waiting for the fair-share cap to
+        #: repair the imbalance batch by batch.
         self.cost_feedback = (
             self.affinity
             and config.affinity_cost_feedback

@@ -17,7 +17,10 @@ matches are
 so the incremental step enforces exactly those, and lets the shared
 inverted-index cascade propagate consequences into older components.
 Disconnected patterns may span components; any of those present triggers a
-sound fallback to full recomputation for the affected step.
+sound fallback to full recomputation for the affected step. Both kinds of
+step match through one shared-prefix
+:class:`~repro.matching.ruleset.RuleSetPlan` trie, grown by one rule path
+per addition.
 
 ``Eq`` is monotone, so a conflict is permanent: once unsatisfiable, every
 extension stays unsatisfiable and additions become no-ops.
@@ -45,8 +48,7 @@ from ..errors import GFDError
 from ..gfd.gfd import GFD
 from ..graph.elements import NodeId
 from ..graph.graph import PropertyGraph
-from ..matching.homomorphism import MatcherRun
-from ..matching.plan import get_plan
+from ..matching.ruleset import RuleSetPlan
 from .enforce import EnforcementEngine
 
 
@@ -69,11 +71,7 @@ class IncrementalSat:
     """SeqSat state that survives GFD additions."""
 
     def __init__(
-        self,
-        sigma: Iterable[GFD] = (),
-        use_bitsets: bool = True,
-        use_ruleset_plan: bool = False,
-        capture_provenance: bool = True,
+        self, sigma: Iterable[GFD] = (), capture_provenance: bool = True
     ) -> None:
         self.graph = PropertyGraph()
         self.eq = EqRelation()
@@ -87,15 +85,10 @@ class IncrementalSat:
         self._gfds: Dict[str, GFD] = {}
         self._components: Dict[str, Set[NodeId]] = {}  # gfd name -> its copy
         self._has_disconnected = False
-        #: Candidate-set representation for the per-component
-        #: ``allowed_nodes`` restrictions (packed bitsets over the graph's
-        #: delta-maintained index vs plain sets; identical match streams).
-        self.use_bitsets = use_bitsets
-        #: Match through one shared-prefix :class:`~repro.matching.ruleset.
-        #: RuleSetPlan` trie (grown rule by rule, revalidated against the
-        #: delta-maintained index each step) instead of per-rule loops.
-        self.use_ruleset_plan = use_ruleset_plan
-        self._ruleset = None
+        #: The trie of every non-trivial rule added so far, grown rule by
+        #: rule and revalidated against the delta-maintained index by each
+        #: walk.
+        self._ruleset = RuleSetPlan(self.graph)
         self.steps: List[IncrementalStep] = []
         for gfd in sigma:
             self.add(gfd)
@@ -149,13 +142,8 @@ class IncrementalSat:
         # starts from a current index and surviving plans.
         delta_ops = self.graph.pending_delta_ops
         self.graph.index()
-        if self.use_ruleset_plan and not gfd.is_trivial():
-            # Grow the persistent trie by this rule's path (O(|Q|)); the
-            # walk revalidates against the delta-maintained index itself.
-            if self._ruleset is None:
-                from ..matching.ruleset import RuleSetPlan
-
-                self._ruleset = RuleSetPlan(self.graph)
+        if not gfd.is_trivial():
+            # Grow the persistent trie by this rule's path (O(|Q|)).
             self._ruleset.add(gfd)
         if not gfd.pattern.is_connected():
             self._has_disconnected = True
@@ -188,73 +176,22 @@ class IncrementalSat:
         self._components[gfd.name] = nodes
         return nodes
 
-    def _allowed(self, nodes: Set[NodeId]):
-        """A component restriction in the configured representation.
-
-        Bitsets are repacked per call over the *current* index — positions
-        are append-only across deltas, so this is O(|component|) against a
-        live universe rather than a cached, possibly superseded one.
-        """
-        if not self.use_bitsets:
-            return nodes
-        return self.graph.index().bitset(nodes)
-
     def _incremental_step(self, gfd: GFD, new_nodes: Set[NodeId]) -> IncrementalStep:
-        if self._ruleset is not None:
-            return self._incremental_step_ruleset(gfd, new_nodes)
-        matches = 0
-        # (a) Existing connected patterns inside the new component.
-        allowed_new = self._allowed(new_nodes)
-        for existing in self._gfds.values():
-            if existing.name == gfd.name or existing.is_trivial():
-                continue
-            run = MatcherRun(
-                existing.pattern,
-                self.graph,
-                allowed_nodes=allowed_new,
-                plan=get_plan(existing.pattern, self.graph),
-            )
-            for assignment in run.matches():
-                matches += 1
-                self.engine.enforce(existing, assignment)
-                if self.eq.has_conflict():
-                    return IncrementalStep(gfd.name, False, self.eq.conflict, matches)
-        # (b) The new pattern across every component (its own included) —
-        # one compiled plan shared by all per-component runs.
-        if not gfd.is_trivial():
-            plan = get_plan(gfd.pattern, self.graph)
-            for component in self._components.values():
-                run = MatcherRun(
-                    gfd.pattern,
-                    self.graph,
-                    allowed_nodes=self._allowed(component),
-                    plan=plan,
-                )
-                for assignment in run.matches():
-                    matches += 1
-                    self.engine.enforce(gfd, assignment)
-                    if self.eq.has_conflict():
-                        return IncrementalStep(gfd.name, False, self.eq.conflict, matches)
-        return IncrementalStep(gfd.name, True, None, matches)
-
-    def _incremental_step_ruleset(
-        self, gfd: GFD, new_nodes: Set[NodeId]
-    ) -> IncrementalStep:
-        """The incremental step through one shared-prefix trie.
-
-        Same two match sets as the per-rule step, each in one walk:
+        """Enforce the new matches, each set in one walk of the trie:
         (a) every *existing* rule restricted to the new component, and
-        (b) the new rule across the whole ``GΣ`` — whole-graph instead of
-        per component, sound and stream-identical because a connected
-        pattern cannot cross components and candidate pools iterate in
-        insertion order (components are contiguous). The verdict is
-        order-independent under interleaved enforcement (monotone ``Eq``).
+        (b) the new rule across the whole ``GΣ`` — whole-graph rather than
+        per component, which is sound because a connected pattern cannot
+        cross components. The verdict is order-independent under
+        interleaved enforcement (monotone ``Eq``).
         """
         matches = 0
         existing = frozenset(self._ruleset.gfds) - {gfd.name}
         if existing:
+            # The component's bitset is packed over the *current* index:
+            # positions are append-only across deltas, so this is
+            # O(|component|) against a live universe.
             run = self._ruleset.run(
-                active=existing, allowed_nodes=self._allowed(new_nodes)
+                active=existing, allowed_nodes=self.graph.index().bitset(new_nodes)
             )
             for name, assignment in run.matches():
                 matches += 1
@@ -281,26 +218,11 @@ class IncrementalSat:
         )
         self.engine.set_evidence_context(origin="incremental")
         matches = 0
-        if self._ruleset is not None:
-            for name, assignment in self._ruleset.matches():
-                matches += 1
-                self.engine.enforce(self._gfds[name], assignment)
-                if self.eq.has_conflict():
-                    return IncrementalStep(
-                        trigger_name, False, self.eq.conflict, matches, recomputed=True
-                    )
-            return IncrementalStep(trigger_name, True, None, matches, recomputed=True)
-        for gfd in self._gfds.values():
-            if gfd.is_trivial():
-                continue
-            run = MatcherRun(
-                gfd.pattern, self.graph, plan=get_plan(gfd.pattern, self.graph)
-            )
-            for assignment in run.matches():
-                matches += 1
-                self.engine.enforce(gfd, assignment)
-                if self.eq.has_conflict():
-                    return IncrementalStep(
-                        trigger_name, False, self.eq.conflict, matches, recomputed=True
-                    )
+        for name, assignment in self._ruleset.matches():
+            matches += 1
+            self.engine.enforce(self._gfds[name], assignment)
+            if self.eq.has_conflict():
+                return IncrementalStep(
+                    trigger_name, False, self.eq.conflict, matches, recomputed=True
+                )
         return IncrementalStep(trigger_name, True, None, matches, recomputed=True)

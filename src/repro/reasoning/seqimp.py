@@ -25,9 +25,7 @@ from ..eq.eqrelation import Conflict, EqRelation
 from ..eq.inverted_index import InvertedIndex
 from ..gfd.canonical import ImplicationCanonical, build_implication_canonical
 from ..gfd.gfd import GFD, gfds_by_name
-from ..matching.homomorphism import MatcherRun
-from ..matching.plan import get_plan
-from ..matching.simulation import simulation_candidates
+from ..matching.ruleset import sequential_run
 from .enforce import (
     AntecedentStatus,
     EnforcementEngine,
@@ -106,20 +104,20 @@ def seq_imp(
     phi: GFD,
     use_dependency_order: bool = True,
     use_simulation_pruning: bool = True,
-    use_bitsets: bool = True,
-    use_ruleset_plan: bool = False,
     capture_provenance: bool = True,
 ) -> ImpResult:
     """Decide whether ``Σ |= φ`` (exact).
 
-    *use_bitsets* picks the candidate-set representation for the
-    simulation pre-filter (packed bitsets vs plain sets; byte-identical
-    match streams either way). *use_ruleset_plan* enforces all of Σ in one
-    shared-prefix trie walk over ``G^X_Q`` instead of the per-rule loop
-    (the ablation/oracle); the conflict/derivation checks fire after every
-    enforcement exactly as in the per-rule path, and the verdict is
-    order-independent (monotone ``Eq``, Church-Rosser). Raises
-    :class:`~repro.errors.GFDError` when two rules of Σ share a name.
+    All of Σ is enforced in one walk of its shared-prefix
+    :class:`~repro.matching.ruleset.RuleSetPlan` trie over ``G^X_Q``; the
+    conflict and derivation checks fire after every enforcement, and the
+    verdict is order-independent (monotone ``Eq``, Church-Rosser).
+    *use_dependency_order* enters rules into the trie in dependency order,
+    those decided by ``Eq_X`` first, which orders the walk's siblings.
+    *use_simulation_pruning* drops rules with an empty dual simulation on
+    ``G^X_Q`` and cuts the walk's candidate pools to the simulation sets.
+    Raises :class:`~repro.errors.GFDError` when two rules of Σ share a
+    name.
     """
     started = time.perf_counter()
     stats = ImpStats(sigma_size=len(sigma))
@@ -143,9 +141,7 @@ def seq_imp(
     engine = EnforcementEngine(
         eq, by_name, InvertedIndex(), capture_provenance=capture_provenance
     )
-    engine.set_evidence_context(
-        origin="seq", plan="ruleset" if use_ruleset_plan else "per-rule"
-    )
+    engine.set_evidence_context(origin="seq", plan="ruleset")
 
     if use_dependency_order:
         ordered = gfd_dependency_order(sigma)
@@ -157,65 +153,23 @@ def seq_imp(
     else:
         ordered = list(sigma)
 
-    if use_ruleset_plan:
-        from ..matching.ruleset import RuleSetPlan
-
-        ruleset = RuleSetPlan(
-            canonical.graph, (gfd for gfd in ordered if not gfd.is_trivial())
-        )
-        run = ruleset.run()
-        for name, assignment in run.matches():
-            stats.matches += 1
-            changed = engine.enforce(by_name[name], assignment)
-            if eq.has_conflict():
-                stats.match_ticks += run.ticks
-                stats.enforcement = engine.stats
-                stats.wall_seconds = time.perf_counter() - started
-                return ImpResult(True, "conflict", eq.conflict, eq, stats, engine)
-            if changed and consequent_entailed(eq, phi, identity):
-                stats.match_ticks += run.ticks
-                stats.enforcement = engine.stats
-                stats.wall_seconds = time.perf_counter() - started
-                return ImpResult(True, "derived", None, eq, stats, engine)
-        stats.match_ticks += run.ticks
-        stats.enforcement = engine.stats
-        stats.wall_seconds = time.perf_counter() - started
-        return ImpResult(False, "not-implied", None, eq, stats, engine)
-
-    for gfd in ordered:
-        if gfd.is_trivial():
-            continue
-        candidate_sets = None
-        if use_simulation_pruning:
-            candidate_sets = simulation_candidates(
-                gfd.pattern, canonical.graph, use_bitsets=use_bitsets
-            )
-            if candidate_sets is None:
-                stats.pruned_by_simulation += 1
-                continue
-        run = MatcherRun(
-            gfd.pattern,
-            canonical.graph,
-            candidate_sets=candidate_sets,
-            plan=get_plan(gfd.pattern, canonical.graph),
-        )
-        for assignment in run.matches():
-            stats.matches += 1
-            changed = engine.enforce(gfd, assignment)
-            if eq.has_conflict():
-                stats.match_ticks += run.ticks
-                stats.enforcement = engine.stats
-                stats.wall_seconds = time.perf_counter() - started
-                return ImpResult(True, "conflict", eq.conflict, eq, stats, engine)
-            if changed and consequent_entailed(eq, phi, identity):
-                stats.match_ticks += run.ticks
-                stats.enforcement = engine.stats
-                stats.wall_seconds = time.perf_counter() - started
-                return ImpResult(True, "derived", None, eq, stats, engine)
-        stats.match_ticks += run.ticks
+    run, stats.pruned_by_simulation = sequential_run(
+        canonical.graph, ordered, use_simulation_pruning
+    )
+    implied, reason = False, "not-implied"
+    for name, assignment in run.matches():
+        stats.matches += 1
+        changed = engine.enforce(by_name[name], assignment)
+        if eq.has_conflict():
+            implied, reason = True, "conflict"
+            break
+        if changed and consequent_entailed(eq, phi, identity):
+            implied, reason = True, "derived"
+            break
+    stats.match_ticks = run.ticks
     stats.enforcement = engine.stats
     stats.wall_seconds = time.perf_counter() - started
-    return ImpResult(False, "not-implied", None, eq, stats, engine)
+    return ImpResult(implied, reason, eq.conflict, eq, stats, engine)
 
 
 def implies(sigma: Sequence[GFD], phi: GFD) -> bool:

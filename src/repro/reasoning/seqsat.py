@@ -24,10 +24,7 @@ from ..eq.eqrelation import Conflict, EqRelation
 from ..eq.inverted_index import InvertedIndex
 from ..gfd.canonical import CanonicalGraph, build_canonical_graph
 from ..gfd.gfd import GFD
-from ..matching.component_index import ComponentIndex
-from ..matching.homomorphism import MatcherRun
-from ..matching.plan import get_plan
-from ..matching.simulation import simulation_candidates
+from ..matching.ruleset import sequential_run
 from .enforce import EnforcementEngine, EnforcementStats
 from .workunits import gfd_dependency_order
 
@@ -41,14 +38,7 @@ class SatStats:
     match_ticks: int = 0
     enforcement: EnforcementStats = field(default_factory=EnforcementStats)
     pruned_by_simulation: int = 0
-    components_scanned: int = 0
-    components_skipped: int = 0
     wall_seconds: float = 0.0
-
-    @property
-    def total_ticks(self) -> int:
-        """Matching ticks + enforcement operations: the virtual cost unit."""
-        return self.match_ticks
 
 
 @dataclass
@@ -84,26 +74,27 @@ def seq_sat(
     sigma: Sequence[GFD],
     use_dependency_order: bool = True,
     use_simulation_pruning: bool = True,
-    use_bitsets: bool = True,
-    use_ruleset_plan: bool = False,
     capture_provenance: bool = True,
 ) -> SatResult:
     """Decide whether *sigma* is satisfiable (exact).
 
-    Parameters mirror the paper's optimizations so ablations can disable
-    them: *use_dependency_order* applies the GFD-level topological order;
-    *use_simulation_pruning* pre-filters candidates by dual simulation;
-    *use_bitsets* picks the candidate-set representation (packed
-    :class:`~repro.graph.bitset.NodeBitset` vectors vs plain sets — both
-    produce byte-identical match streams). *use_ruleset_plan* compiles Σ
-    into one shared-prefix :class:`~repro.matching.ruleset.RuleSetPlan`
-    trie and enforces all rules in a single whole-graph walk — per-rule
-    match streams are byte-identical to the per-rule loop (the ablation
-    and correctness oracle), and the verdict is order-independent by the
-    Church-Rosser property of the monotone ``Eq`` chase.
-    *capture_provenance* (default on) interns evidence records and stamps
-    structured provenance on ΔEq ops; disable it for the overhead
-    ablation (explanations degrade to bare source names).
+    All of Σ is enforced in one walk of its shared-prefix
+    :class:`~repro.matching.ruleset.RuleSetPlan` trie over ``GΣ``: each
+    shared pattern prefix is matched once, and enforcement interleaves
+    across rules mid-walk. The verdict agrees with any per-rule order by
+    the Church-Rosser property of the monotone ``Eq`` chase. One walk over
+    the whole disjoint union also covers per-component scoping: a
+    connected pattern cannot match across components.
+
+    The parameters are the paper's optimizations, so ablations can turn
+    them off: *use_dependency_order* enters rules into the trie in the
+    GFD-level topological order, which orders the walk's siblings;
+    *use_simulation_pruning* drops rules with an empty dual simulation and
+    cuts the walk's candidate pools to the simulation sets (per-rule match
+    streams are identical either way). *capture_provenance* (default on)
+    interns evidence records and stamps structured provenance on ΔEq ops;
+    disable it for the overhead ablation (explanations degrade to bare
+    source names).
     """
     started = time.perf_counter()
     stats = SatStats(gfds=len(sigma))
@@ -112,161 +103,21 @@ def seq_sat(
     engine = EnforcementEngine(
         eq, canonical.gfds, InvertedIndex(), capture_provenance=capture_provenance
     )
-    engine.set_evidence_context(
-        origin="seq", plan="ruleset" if use_ruleset_plan else "per-rule"
-    )
+    engine.set_evidence_context(origin="seq", plan="ruleset")
 
     ordered = gfd_dependency_order(sigma) if use_dependency_order else list(sigma)
-    conflict: Optional[Conflict] = None
-    if use_ruleset_plan:
-        conflict = _enforce_ruleset_everywhere(ordered, canonical, engine, stats)
-        stats.enforcement = engine.stats
-        stats.wall_seconds = time.perf_counter() - started
-        return SatResult(conflict is None, conflict, eq, canonical, stats, engine)
-
-    index = ComponentIndex(canonical.graph)
-    # comp_id -> allowed-nodes bitset over the canonical graph's index,
-    # shared across GFDs (each component is re-matched once per GFD).
-    allowed_cache: dict = {}
-    for gfd in ordered:
-        if gfd.is_trivial():
-            continue
-        conflict = _enforce_gfd_everywhere(
-            gfd, canonical, index, engine, stats, use_simulation_pruning,
-            use_bitsets, allowed_cache,
-        )
-        if conflict is not None:
-            break
-    stats.enforcement = engine.stats
-    stats.wall_seconds = time.perf_counter() - started
-    return SatResult(conflict is None, conflict, eq, canonical, stats, engine)
-
-
-def _enforce_ruleset_everywhere(
-    ordered: Sequence[GFD],
-    canonical: CanonicalGraph,
-    engine: EnforcementEngine,
-    stats: SatStats,
-) -> Optional[Conflict]:
-    """Enforce every rule of Σ in one shared-prefix trie walk over ``GΣ``.
-
-    Replaces the per-(GFD, component) loop: one whole-graph walk visits
-    each shared prefix once, and per-component scoping is subsumed because
-    a connected pattern cannot match across components and candidate pools
-    iterate in insertion order (component ranges are contiguous in ``GΣ``).
-    Dual-simulation pruning and component signature filters are sound
-    restrictions — dropping them changes tick counts, never the per-rule
-    match stream. Enforcement interleaves across rules mid-walk; the
-    verdict agrees with any per-rule order (monotone ``Eq``, Church-
-    Rosser).
-    """
-    from ..matching.ruleset import RuleSetPlan
-
-    eq = engine.eq
-    ruleset = RuleSetPlan(
-        canonical.graph, (gfd for gfd in ordered if not gfd.is_trivial())
+    run, stats.pruned_by_simulation = sequential_run(
+        canonical.graph, ordered, use_simulation_pruning
     )
-    run = ruleset.run()
     for name, assignment in run.matches():
         stats.matches += 1
         engine.enforce(canonical.gfds[name], assignment)
         if eq.has_conflict():
-            stats.match_ticks += run.ticks
-            return eq.conflict
-    stats.match_ticks += run.ticks
-    return None
-
-
-def _enforce_gfd_everywhere(
-    gfd: GFD,
-    canonical: CanonicalGraph,
-    index: ComponentIndex,
-    engine: EnforcementEngine,
-    stats: SatStats,
-    use_simulation_pruning: bool,
-    use_bitsets: bool = True,
-    allowed_cache: Optional[dict] = None,
-) -> Optional[Conflict]:
-    """Enforce *gfd* on all of its matches in ``GΣ``.
-
-    A connected pattern can only match inside one component of the disjoint
-    union, so matching runs per compatible component (signature-filtered,
-    optionally dual-simulation-refined). Disconnected patterns fall back to
-    whole-graph search. Returns the conflict if one emerges.
-    """
-    eq = engine.eq
-    # One compiled plan per GFD, shared by every per-component run below.
-    plan = get_plan(gfd.pattern, canonical.graph)
-    graph_index = plan.index
-    if gfd.pattern.is_connected():
-        total = index.num_components()
-        for comp_id in range(total):
-            if not index.pattern_compatible(gfd.pattern, comp_id):
-                stats.components_skipped += 1
-                continue
-            stats.components_scanned += 1
-            nodes = index.nodes_of(comp_id)
-            candidate_sets = None
-            if use_simulation_pruning:
-                component = canonical.graph.subgraph(nodes)
-                candidate_sets = simulation_candidates(
-                    gfd.pattern, component, use_bitsets=use_bitsets
-                )
-                if candidate_sets is None:
-                    stats.pruned_by_simulation += 1
-                    continue
-                if use_bitsets:
-                    # Repack the component-subgraph vectors over the
-                    # canonical graph's index so the matcher can intersect
-                    # them word-level (same node ids, different universe).
-                    candidate_sets = {
-                        var: graph_index.bitset(members)
-                        for var, members in candidate_sets.items()
-                    }
-            allowed = nodes
-            if use_bitsets:
-                if allowed_cache is None:
-                    allowed = graph_index.bitset(nodes)
-                else:
-                    allowed = allowed_cache.get(comp_id)
-                    if allowed is None:
-                        allowed = graph_index.bitset(index.nodes_of(comp_id))
-                        allowed_cache[comp_id] = allowed
-            run = MatcherRun(
-                gfd.pattern,
-                canonical.graph,
-                allowed_nodes=allowed,
-                candidate_sets=candidate_sets,
-                plan=plan,
-            )
-            conflict = _drain_matches(gfd, run, engine, stats)
-            if conflict is not None:
-                return conflict
-        return None
-    candidate_sets = None
-    if use_simulation_pruning:
-        candidate_sets = simulation_candidates(
-            gfd.pattern, canonical.graph, use_bitsets=use_bitsets
-        )
-        if candidate_sets is None:
-            stats.pruned_by_simulation += 1
-            return None
-    run = MatcherRun(gfd.pattern, canonical.graph, candidate_sets=candidate_sets, plan=plan)
-    return _drain_matches(gfd, run, engine, stats)
-
-
-def _drain_matches(
-    gfd: GFD, run: MatcherRun, engine: EnforcementEngine, stats: SatStats
-) -> Optional[Conflict]:
-    eq = engine.eq
-    for assignment in run.matches():
-        stats.matches += 1
-        engine.enforce(gfd, assignment)
-        if eq.has_conflict():
-            stats.match_ticks += run.ticks
-            return eq.conflict
-    stats.match_ticks += run.ticks
-    return None
+            break
+    stats.match_ticks = run.ticks
+    stats.enforcement = engine.stats
+    stats.wall_seconds = time.perf_counter() - started
+    return SatResult(not eq.has_conflict(), eq.conflict, eq, canonical, stats, engine)
 
 
 def is_satisfiable(sigma: Sequence[GFD]) -> bool:

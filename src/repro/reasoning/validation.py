@@ -21,7 +21,7 @@ from ..graph.elements import NodeId
 from ..graph.graph import PropertyGraph
 from ..matching.homomorphism import MatcherRun
 from ..matching.plan import get_plan
-from ..matching.simulation import simulation_candidates
+from ..matching.ruleset import sequential_run
 from ..results.claims import Violation
 from ..results.evidence import MatchEvidence, evidence_ref
 from ..results.store import ResultStore
@@ -55,40 +55,11 @@ def match_satisfies(graph: PropertyGraph, literals: Sequence[Literal], assignmen
 
 
 def find_violations(
-    graph: PropertyGraph,
-    gfd: GFD,
-    limit: Optional[int] = None,
-    use_simulation_pruning: bool = True,
-    use_bitsets: bool = True,
+    graph: PropertyGraph, gfd: GFD, limit: Optional[int] = None
 ) -> List[Violation]:
-    """Matches of *gfd* in *graph* that violate ``X → Y`` (up to *limit*)."""
-    if gfd.is_trivial():
-        return []
-    candidate_sets = None
-    if use_simulation_pruning:
-        candidate_sets = simulation_candidates(
-            gfd.pattern, graph, use_bitsets=use_bitsets
-        )
-        if candidate_sets is None:
-            return []
-    run = MatcherRun(
-        gfd.pattern,
-        graph,
-        candidate_sets=candidate_sets,
-        plan=get_plan(gfd.pattern, graph),
-    )
-    violations: List[Violation] = []
-    for assignment in run.matches():
-        if not match_satisfies(graph, gfd.antecedent, assignment):
-            continue
-        if match_satisfies(graph, gfd.consequent, assignment):
-            continue
-        violations.append(
-            Violation(gfd.name, dict(assignment), evidence_ref(gfd.name, assignment))
-        )
-        if limit is not None and len(violations) >= limit:
-            break
-    return violations
+    """Matches of *gfd* in *graph* that violate ``X → Y`` (up to *limit*):
+    error detection for a rule set of one."""
+    return _detect(graph, {gfd.name: gfd}, limit)
 
 
 def graph_satisfies(graph: PropertyGraph, gfd: GFD) -> bool:
@@ -105,75 +76,63 @@ def detect_errors(
     graph: PropertyGraph,
     sigma: Sequence[GFD],
     limit_per_gfd: Optional[int] = None,
-    use_ruleset_plan: bool = False,
 ) -> List[Violation]:
     """All violations of *sigma* in *graph* — the error-detection workload
     that motivates validating rule sets before use (paper, Section I).
 
-    With *use_ruleset_plan* the whole rule set is matched in one
-    shared-prefix trie walk; violations are collected per GFD during the
-    walk and concatenated in Σ order, so the returned list is identical to
-    the per-rule loop's (per-GFD streams are byte-identical and the
-    ``limit_per_gfd`` cap applies to the same prefix of each stream).
-    Raises :class:`~repro.errors.GFDError` when two rules of Σ share a
-    name, on either path.
+    The whole rule set is matched in one shared-prefix trie walk, with
+    dual-simulation pruning; violations are collected per GFD during the
+    walk and returned grouped by GFD in Σ order, each group in its rule's
+    match order. *limit_per_gfd* keeps the first violations of each rule,
+    and the walk stops once every rule has that many. Raises
+    :class:`~repro.errors.GFDError` when two rules of Σ share a name.
     """
-    return _detect(graph, gfds_by_name(sigma), limit_per_gfd, use_ruleset_plan)
+    return _detect(graph, gfds_by_name(sigma), limit_per_gfd)
 
 
 def _detect(
-    graph: PropertyGraph,
-    by_name: Dict[str, GFD],
-    limit_per_gfd: Optional[int],
-    use_ruleset_plan: bool,
+    graph: PropertyGraph, by_name: Dict[str, GFD], limit_per_gfd: Optional[int]
 ) -> List[Violation]:
-    if use_ruleset_plan:
-        from ..matching.ruleset import RuleSetPlan
-
-        ruleset = RuleSetPlan(
-            graph, (gfd for gfd in by_name.values() if not gfd.is_trivial())
-        )
-        per_gfd: Dict[str, List[Violation]] = {name: [] for name in ruleset.gfds}
-        for name, assignment in ruleset.matches():
-            bucket = per_gfd[name]
-            if limit_per_gfd is not None and len(bucket) >= limit_per_gfd:
-                continue
-            gfd = ruleset.gfds[name]
-            if not match_satisfies(graph, gfd.antecedent, assignment):
-                continue
-            if match_satisfies(graph, gfd.consequent, assignment):
-                continue
-            bucket.append(
-                Violation(name, dict(assignment), evidence_ref(name, assignment))
-            )
-        return [
-            violation for name in by_name for violation in per_gfd.get(name, ())
-        ]
-    errors: List[Violation] = []
-    for gfd in by_name.values():
-        errors.extend(find_violations(graph, gfd, limit=limit_per_gfd))
-    return errors
+    if limit_per_gfd is not None and limit_per_gfd <= 0:
+        return []
+    run, _ = sequential_run(graph, by_name.values())
+    per_gfd: Dict[str, List[Violation]] = {name: [] for name in run.active_names()}
+    # Rules still short of their quota: the walk stops when none is left.
+    open_rules = len(per_gfd)
+    for name, assignment in run.matches():
+        bucket = per_gfd[name]
+        if limit_per_gfd is not None and len(bucket) >= limit_per_gfd:
+            continue
+        gfd = by_name[name]
+        if not match_satisfies(graph, gfd.antecedent, assignment):
+            continue
+        if match_satisfies(graph, gfd.consequent, assignment):
+            continue
+        bucket.append(Violation(name, dict(assignment), evidence_ref(name, assignment)))
+        if len(bucket) == limit_per_gfd:
+            open_rules -= 1
+            if not open_rules:
+                break
+    return [violation for name in by_name for violation in per_gfd.get(name, ())]
 
 
 def detect_errors_store(
     graph: PropertyGraph,
     sigma: Sequence[GFD],
     limit_per_gfd: Optional[int] = None,
-    use_ruleset_plan: bool = False,
 ) -> ResultStore:
     """:func:`detect_errors` with the layered result model attached.
 
     Every violation claim references an interned :class:`MatchEvidence`
-    record for its witnessing match (origin ``"validate"``; plan names the
-    matching path used). Error detection runs against concrete attribute
+    record for its witnessing match (origin ``"validate"``, plan
+    ``"ruleset"``). Error detection runs against concrete attribute
     values — no ``Eq`` chase — so the store's derivation layer is empty.
     Each record reuses its violation's ``evidence_ref``, so every match is
     digested once.
     """
     by_name = gfds_by_name(sigma)
-    violations = _detect(graph, by_name, limit_per_gfd, use_ruleset_plan)
+    violations = _detect(graph, by_name, limit_per_gfd)
     store = ResultStore(violations=violations)
-    plan = "ruleset" if use_ruleset_plan else "per-rule"
     for violation in violations:
         variables = by_name[violation.gfd_name].pattern.variables
         assignment = violation.assignment
@@ -184,7 +143,7 @@ def detect_errors_store(
                 tuple(sorted(assignment.items())),
                 pivot=assignment.get(variables[0]) if variables else None,
                 origin="validate",
-                plan=plan,
+                plan="ruleset",
             )
         )
     return store

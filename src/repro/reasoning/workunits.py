@@ -136,20 +136,19 @@ class WorkUnit:
         return f"({head}[{bound}], r={self.radius}, g{self.generation})"
 
 
-def choose_pivot(gfd: GFD, graph: PropertyGraph, use_plan: bool = True) -> str:
+def choose_pivot(gfd: GFD, graph: PropertyGraph) -> str:
     """Pick a pivot variable for *gfd*'s (first) pattern component.
 
-    With *use_plan* (default) the choice minimizes the *expected fan-out*
-    of the whole unit family: (number of pivot candidates) × (estimated
-    search-tree size per candidate, from the compiled
-    :class:`~repro.matching.plan.MatchPlan`'s per-variable cardinality
-    estimates). Label counts alone — the fallback, and the tie-break —
-    ignore how expensive the residual search is once the pivot is bound;
-    the plan estimate accounts for anchor-expansion branch factors, so a
-    slightly less selective but more central pivot can win.
+    The choice minimizes the *expected fan-out* of the whole unit family:
+    (number of pivot candidates) × (estimated search-tree size per
+    candidate, from the compiled :class:`~repro.matching.plan.MatchPlan`'s
+    per-variable cardinality estimates). Label counts alone ignore how
+    expensive the residual search is once the pivot is bound; the plan
+    estimate accounts for anchor-expansion branch factors, so a slightly
+    less selective but more central pivot can win.
 
-    Ties (and the ``use_plan=False`` ablation) fall back to the label-count
-    preference order: selective label, small eccentricity, then name.
+    Ties, and an empty graph, fall back to the label-count preference
+    order: selective label, small eccentricity, then name.
     """
     pattern = gfd.pattern
     component = pattern.components[0]
@@ -161,7 +160,7 @@ def choose_pivot(gfd: GFD, graph: PropertyGraph, use_plan: bool = True) -> str:
     def key(var: str) -> Tuple[int, int, str]:
         return (label_count(var), pattern.eccentricity(var), var)
 
-    if use_plan and graph.num_nodes:
+    if graph.num_nodes:
         from ..matching.plan import get_plan
 
         plan = get_plan(pattern, graph)

@@ -419,12 +419,7 @@ class ValidationServer:
             result = await self._parallel_sat(text, sigma)
             fields: Dict[str, object] = {"backend": "process", "workers": self._runtime.workers}
         else:
-            result = await loop.run_in_executor(
-                self._executor,
-                partial(
-                    seq_sat, sigma, use_ruleset_plan=bool(request.get("ruleset_plan"))
-                ),
-            )
+            result = await loop.run_in_executor(self._executor, seq_sat, sigma)
             fields = {"backend": "seq"}
         store = result.results
         session.last_store = store
@@ -485,12 +480,7 @@ class ValidationServer:
             )
             backend_name = "process"
         else:
-            result = await loop.run_in_executor(
-                self._executor,
-                partial(
-                    seq_imp, sigma, phi, use_ruleset_plan=bool(request.get("ruleset_plan"))
-                ),
-            )
+            result = await loop.run_in_executor(self._executor, seq_imp, sigma, phi)
             backend_name = "seq"
         return protocol.ok_response(
             request.get("id"),
@@ -512,13 +502,7 @@ class ValidationServer:
         try:
             store = await asyncio.get_running_loop().run_in_executor(
                 self._executor,
-                partial(
-                    detect_errors_store,
-                    view.graph,
-                    sigma,
-                    limit_per_gfd=limit,
-                    use_ruleset_plan=bool(request.get("ruleset_plan")),
-                ),
+                partial(detect_errors_store, view.graph, sigma, limit_per_gfd=limit),
             )
         finally:
             view.release()

@@ -3,8 +3,9 @@
 The ``use_bitsets`` contract: packed and set candidate paths produce
 byte-identical match streams (and therefore identical reasoning verdicts
 and cost counters) everywhere a candidate set flows — dual simulation,
-``MatcherRun`` pools, ``UnitContext`` neighborhoods, SeqSat/SeqImp, the
-incremental checker and validation. Plus the PR's bugfix regressions:
+``MatcherRun`` pools, ``UnitContext`` neighborhoods, and the rule-set
+walk's simulation cuts and allowed sets that SeqSat/SeqImp, the
+incremental checker and validation run on. Plus the PR's bugfix regressions:
 ``dual_simulation`` no longer freezes caller patterns, and its worklist
 refinement can't silently regress to full per-variable rescans.
 """
@@ -17,7 +18,7 @@ import random
 
 import pytest
 
-from repro.gfd.canonical import build_canonical_graph
+from repro.gfd.canonical import build_canonical_graph, build_implication_canonical
 from repro.gfd.generator import add_random_conflicts, random_gfds
 from repro.gfd.pattern import Pattern, make_pattern
 from repro.graph.bitset import NodeBitset
@@ -25,16 +26,31 @@ from repro.graph.elements import WILDCARD
 from repro.graph.graph import PropertyGraph
 from repro.matching import CandidateSet, SimulationStats, simulation_candidates
 from repro.matching.homomorphism import MatcherRun
+from repro.matching.ruleset import RuleSetPlan, RuleSetRun
 from repro.matching.simulation import SimulationStats as DirectStats
 from repro.matching.simulation import dual_simulation
 from repro.parallel import RuntimeConfig, par_sat
 from repro.parallel.units import UnitContext, execute_unit
 from repro.reasoning.enforce import EnforcementEngine
-from repro.reasoning.incremental import IncrementalSat
-from repro.reasoning.seqimp import seq_imp
 from repro.reasoning.seqsat import seq_sat
-from repro.reasoning.validation import detect_errors
+from repro.reasoning.validation import detect_errors, match_satisfies
 from repro.reasoning.workunits import generate_pruned_work_units
+from repro.results import Violation, evidence_ref
+
+
+def cut_walk(sigma, graph, use_bitsets):
+    """The sequential walk's simulation cut over *graph*, with the
+    simulation sets in one representation: (stream, ticks, pruned)."""
+    rules = [gfd for gfd in sigma if not gfd.is_trivial()]
+    found = {
+        gfd.name: dual_simulation(gfd.pattern, graph, use_bitsets=use_bitsets)
+        for gfd in rules
+    }
+    sets = {name: members for name, members in found.items() if members is not None}
+    run = RuleSetRun(
+        RuleSetPlan(graph, [gfd for gfd in rules if gfd.name in sets]), candidate_sets=sets
+    )
+    return list(run.matches()), run.ticks, len(rules) - len(sets)
 
 
 def random_instance(seed):
@@ -166,48 +182,59 @@ class TestRepresentationEquivalence:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_seqsat_and_seqimp_ablation_equivalence(self, seed):
+        """SeqSat's and SeqImp's walks cut their pools by simulation sets;
+        packed and plain sets give one stream, tick count and pruned
+        count, on ``GΣ`` and on ``G^X_Q``."""
         sigma = random_gfds(10, 4, 3, seed=seed)
-        packed = seq_sat(sigma, use_bitsets=True)
-        plain = seq_sat(sigma, use_bitsets=False)
-        assert packed.satisfiable == plain.satisfiable
-        assert packed.stats.matches == plain.stats.matches
-        assert packed.stats.match_ticks == plain.stats.match_ticks
-        assert packed.stats.pruned_by_simulation == plain.stats.pruned_by_simulation
-        phi = sigma[-1]
-        imp_packed = seq_imp(sigma[:-1], phi, use_bitsets=True)
-        imp_plain = seq_imp(sigma[:-1], phi, use_bitsets=False)
-        assert imp_packed.implied == imp_plain.implied
-        assert imp_packed.stats.matches == imp_plain.stats.matches
-        assert imp_packed.stats.match_ticks == imp_plain.stats.match_ticks
+        canonical = build_canonical_graph(sigma).graph
+        packed = cut_walk(sigma, canonical, use_bitsets=True)
+        assert packed == cut_walk(sigma, canonical, use_bitsets=False)
+        assert seq_sat(sigma).stats.pruned_by_simulation == packed[2]
+        implication = build_implication_canonical(sigma[-1]).graph
+        assert cut_walk(sigma[:-1], implication, use_bitsets=True) == cut_walk(
+            sigma[:-1], implication, use_bitsets=False
+        )
 
     def test_seqsat_conflicting_instances_equivalent(self):
         sigma = add_random_conflicts(random_gfds(8, 4, 3, seed=321), 3, seed=5)
-        packed = seq_sat(sigma, use_bitsets=True)
-        plain = seq_sat(sigma, use_bitsets=False)
-        assert packed.satisfiable == plain.satisfiable
-        assert packed.stats.matches == plain.stats.matches
+        graph = build_canonical_graph(sigma).graph
+        assert cut_walk(sigma, graph, use_bitsets=True) == cut_walk(
+            sigma, graph, use_bitsets=False
+        )
 
     def test_incremental_ablation_equivalence(self):
-        sigma = random_gfds(10, 4, 3, seed=77)
-        packed = IncrementalSat(sigma, use_bitsets=True)
-        plain = IncrementalSat(sigma, use_bitsets=False)
-        assert packed.satisfiable == plain.satisfiable
-        assert [
-            (s.gfd_name, s.satisfiable, s.new_matches) for s in packed.steps
-        ] == [(s.gfd_name, s.satisfiable, s.new_matches) for s in plain.steps]
+        """An incremental step walks the existing rules inside the new
+        component, given as a packed allowed set; a plain set gives the
+        same stream and tick count."""
+        sigma = [gfd for gfd in random_gfds(10, 4, 3, seed=77) if not gfd.is_trivial()]
+        canonical = build_canonical_graph(sigma)
+        graph = canonical.graph
+        plan = RuleSetPlan(graph, sigma)
+        for gfd in sigma:
+            component = set(canonical.embeddings[gfd.name].values())
+            packed = plan.run(allowed_nodes=graph.index().bitset(component))
+            plain = plan.run(allowed_nodes=component)
+            assert list(packed.matches()) == list(plain.matches())
+            assert packed.ticks == plain.ticks
 
     def test_validation_ablation_equivalence(self):
+        """Detection (one walk, packed simulation cut) returns what the
+        per-rule loop over set-filtered :class:`MatcherRun` streams finds."""
         sigma = random_gfds(8, 4, 3, seed=11)
         graph = build_canonical_graph(sigma).graph
-        packed = detect_errors(graph, sigma)
-        # detect_errors drives find_violations(use_bitsets=True) by default;
-        # compare with the explicit set path per GFD.
-        from repro.reasoning.validation import find_violations
-
         plain = []
         for gfd in sigma:
-            plain.extend(find_violations(graph, gfd, use_bitsets=False))
-        assert packed == plain
+            if gfd.is_trivial():
+                continue
+            sets = dual_simulation(gfd.pattern, graph, use_bitsets=False)
+            if sets is None:
+                continue
+            for match in MatcherRun(gfd.pattern, graph, candidate_sets=sets).matches():
+                if match_satisfies(graph, gfd.antecedent, match) and not match_satisfies(
+                    graph, gfd.consequent, match
+                ):
+                    plain.append(Violation(gfd.name, match, evidence_ref(gfd.name, match)))
+        assert detect_errors(graph, sigma) == plain
 
     def test_par_sat_bitset_knob_equivalence(self):
         sigma = random_gfds(9, 4, 3, seed=13)

@@ -163,18 +163,17 @@ class TestDuplicateNamesAndValidation:
         assert par_imp(renamed, phi, RuntimeConfig(workers=2)).implied
 
     def test_duplicate_names_rejected_in_error_detection(self):
-        """Detection rejects colliding names as sat and imp do, on both
-        matching paths, instead of answering for an ambiguous rule set."""
+        """Detection rejects colliding names as sat and imp do, instead of
+        answering for an ambiguous rule set."""
         sigma = parse_gfds("gfd r { x: a; then x.A = 1; }") + parse_gfds(
             "gfd r { x: a; then x.B = 2; }"
         )
         graph = PropertyGraph()
         graph.add_node("a", {"A": 2})
-        for use_ruleset_plan in (False, True):
-            with pytest.raises(GFDError, match="duplicate GFD name"):
-                detect_errors(graph, sigma, use_ruleset_plan=use_ruleset_plan)
-            with pytest.raises(GFDError, match="duplicate GFD name"):
-                detect_errors_store(graph, sigma, use_ruleset_plan=use_ruleset_plan)
+        with pytest.raises(GFDError, match="duplicate GFD name"):
+            detect_errors(graph, sigma)
+        with pytest.raises(GFDError, match="duplicate GFD name"):
+            detect_errors_store(graph, sigma)
 
     def test_trivial_gfds_are_harmless(self):
         sigma = parse_gfds(

@@ -16,9 +16,10 @@ from repro import parse_gfds, seq_sat
 from repro.eq.eqrelation import Conflict, EqRelation, Provenance
 from repro.graph.delta import AddEdge, AddNode
 from repro.graph.graph import PropertyGraph
+from repro.matching.homomorphism import MatcherRun
 from repro.parallel import RuntimeConfig, par_sat
 from repro.reasoning.explain import explain_unsatisfiability
-from repro.reasoning.validation import detect_errors_store
+from repro.reasoning.validation import detect_errors_store, match_satisfies
 from repro.results import evidence as evidence_module
 from repro.results import (
     ConflictClaim,
@@ -296,7 +297,7 @@ class TestDetectionStore:
         for violation in store.violations:
             record = store.evidence_for(violation)
             assert record is not None
-            assert record.origin == "validate" and record.plan == "per-rule"
+            assert record.origin == "validate" and record.plan == "ruleset"
             assert record.pivot == violation.assignment["x"]
         # Detection reads concrete values: no Eq chase, empty derivation.
         assert store.derivation == []
@@ -329,60 +330,74 @@ class TestDetectionStore:
         )
         graph = _dirty_graph()
         original = evidence_module.ref_of_items
-        for use_ruleset_plan, plan in ((False, "per-rule"), (True, "ruleset")):
-            digests = []
+        digests = []
 
-            def counting_ref_of_items(gfd, items):
-                digests.append(gfd)
-                return original(gfd, items)
+        def counting_ref_of_items(gfd, items):
+            digests.append(gfd)
+            return original(gfd, items)
 
-            monkeypatch.setattr(evidence_module, "ref_of_items", counting_ref_of_items)
-            store = detect_errors_store(graph, sigma, use_ruleset_plan=use_ruleset_plan)
-            monkeypatch.undo()
-            assert len(store.violations) == 3
-            assert len(digests) == len(store.violations)
-            expected = [
-                MatchEvidence.from_match(
-                    v.gfd_name,
-                    v.assignment,
-                    pivot=v.assignment["x" if v.gfd_name == "g" else "y"],
-                    origin="validate",
-                    plan=plan,
-                )
-                for v in store.violations
-            ]
-            assert [v.evidence_ref for v in store.violations] == [r.ref for r in expected]
-            assert store.evidence.to_json() == [r.to_json() for r in expected]
+        monkeypatch.setattr(evidence_module, "ref_of_items", counting_ref_of_items)
+        store = detect_errors_store(graph, sigma)
+        monkeypatch.undo()
+        assert len(store.violations) == 3
+        assert len(digests) == len(store.violations)
+        expected = [
+            MatchEvidence.from_match(
+                v.gfd_name,
+                v.assignment,
+                pivot=v.assignment["x" if v.gfd_name == "g" else "y"],
+                origin="validate",
+                plan="ruleset",
+            )
+            for v in store.violations
+        ]
+        assert [v.evidence_ref for v in store.violations] == [r.ref for r in expected]
+        assert store.evidence.to_json() == [r.to_json() for r in expected]
 
     def test_ruleset_plan_store_matches_per_rule(self):
+        """The store's violations are the per-rule oracle's: the rule's own
+        :class:`MatcherRun` stream filtered by its literals."""
         sigma = parse_gfds(DETECT_SIGMA)
         graph = _dirty_graph()
-        per_rule = detect_errors_store(graph, sigma)
-        trie = detect_errors_store(graph, sigma, use_ruleset_plan=True)
-        key = lambda v: (v.gfd_name, tuple(sorted(v.assignment.items())))
-        assert [key(v) for v in trie.violations] == [key(v) for v in per_rule.violations]
-        assert set(trie.evidence.refs()) == set(per_rule.evidence.refs())
+        trie = detect_errors_store(graph, sigma)
+        (gfd,) = sigma
+        per_rule = [
+            match
+            for match in MatcherRun(gfd.pattern, graph).matches()
+            if match_satisfies(graph, gfd.antecedent, match)
+            and not match_satisfies(graph, gfd.consequent, match)
+        ]
+        key = lambda assignment: ("g", tuple(sorted(assignment.items())))
+        assert [key(v.assignment) for v in trie.violations] == [key(m) for m in per_rule]
+        assert set(trie.evidence.refs()) == {evidence_ref("g", m) for m in per_rule}
         assert all(record.plan == "ruleset" for record in trie.evidence)
 
 
 class TestExplainAcrossExecutionModes:
-    """Satellite: explanations hold under the rule-set plan trie and
-    fragmented parallel runs, not just the sequential per-rule loop."""
+    """Satellite: explanations hold under the sequential rule-set plan
+    trie, per-rule ParSat units and fragmented parallel runs alike."""
 
     def test_ruleset_plan_conflict_explains_identically(self):
         sigma = parse_gfds(CHAIN_UNSAT)
-        per_rule = seq_sat(sigma).results.explain_conflict()
-        result = seq_sat(sigma, use_ruleset_plan=True)
+        result = seq_sat(sigma)
         assert not result.satisfiable
         trie = result.results.explain_conflict()
+        per_rule = par_sat(
+            sigma, RuntimeConfig(workers=2, use_ruleset_plan=False), backend="simulated"
+        ).results.explain_conflict()
         assert set(trie.gfds_involved) == set(per_rule.gfds_involved)
         assert {r.ref for r in trie.evidence} == {r.ref for r in per_rule.evidence}
 
     def test_explain_unsatisfiability_accepts_ruleset_result(self, example4_sigma):
-        result = seq_sat(example4_sigma, use_ruleset_plan=True)
-        explanation = explain_unsatisfiability(example4_sigma, result)
-        assert explanation is not None
-        assert set(explanation.gfds_involved) == {"phi7", "phi9", "phi10"}
+        per_rule = par_sat(
+            example4_sigma,
+            RuntimeConfig(workers=2, use_ruleset_plan=False),
+            backend="simulated",
+        )
+        for result in (seq_sat(example4_sigma), per_rule):
+            explanation = explain_unsatisfiability(example4_sigma, result)
+            assert explanation is not None
+            assert set(explanation.gfds_involved) == {"phi7", "phi9", "phi10"}
 
     @pytest.mark.parametrize("fragments", [1, 4])
     def test_fragmented_run_explains_conflict(self, fragments):

@@ -7,10 +7,12 @@ each tested here against the per-rule path as the correctness oracle:
   is insensitive to rule insertion order (same per-rule paths, same node
   count), and every rule ends at exactly one leaf;
 * **streams** — the per-GFD projection of one trie walk is byte-identical
-  to that rule's own :class:`MatcherRun` stream, unpivoted and pivoted,
-  and the sequential reasoning layers (``seq_sat`` / ``seq_imp`` /
-  ``detect_errors`` / :class:`IncrementalSat`) return identical verdicts
-  (and identical violation lists / step outcomes) with the flag on or off;
+  to that rule's own :class:`MatcherRun` stream, unpivoted, pivoted and
+  under the dual-simulation cut, and the sequential reasoning layers
+  (``seq_sat`` / ``seq_imp`` / ``detect_errors`` / :class:`IncrementalSat`),
+  which all walk the trie, agree with the per-rule oracles: per-rule
+  ParSat/ParImp verdicts, :class:`MatcherRun` match totals, and a per-rule
+  detection loop;
 * **parallel** — grouped work units produce the same verdicts as per-rule
   units on both backends, under a seeded :class:`FaultPlan`, and
   with the affinity scheduler on or off; TTL breaches split the trie walk
@@ -28,6 +30,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import parse_gfds
 from repro.gfd.canonical import build_canonical_graph
 from repro.gfd.generator import GFDGenerator, GFDVocabulary, add_random_conflicts, random_gfds
 from repro.gfd.gfd import make_gfd
@@ -35,15 +38,27 @@ from repro.gfd.pattern import make_pattern
 from repro.graph.graph import PropertyGraph
 from repro.matching.homomorphism import MatcherRun
 from repro.matching.plan import get_plan
-from repro.matching.ruleset import PIVOT_SLOT, RuleSetPlan, pivot_signature
+from repro.matching.ruleset import (
+    PIVOT_SLOT,
+    RuleSetPlan,
+    RuleSetRun,
+    pivot_signature,
+    sequential_run,
+)
+from repro.matching.simulation import simulation_candidates
 from repro.parallel import RuntimeConfig, par_sat
 from repro.parallel.faults import FaultPlan
 from repro.parallel.parimp import par_imp
 from repro.reasoning.incremental import IncrementalSat
 from repro.reasoning.seqimp import seq_imp
 from repro.reasoning.seqsat import seq_sat
-from repro.reasoning.validation import detect_errors, extract_model
+from repro.reasoning.validation import detect_errors, extract_model, match_satisfies
 from repro.reasoning.workunits import choose_pivot, generate_grouped_work_units
+from repro.results import Violation, evidence_ref
+
+#: The per-rule parallel runs: the paper's ParSat/ParImp units, the oracle
+#: for the sequential walk's verdicts.
+PER_RULE = RuntimeConfig(workers=3, use_ruleset_plan=False)
 
 
 def small_sigma(seed, count=14, consistent=True):
@@ -56,6 +71,32 @@ def small_sigma(seed, count=14, consistent=True):
 
 def nontrivial(sigma):
     return [gfd for gfd in sigma if not gfd.is_trivial()]
+
+
+def match_total(sigma, graph):
+    """Every match of every non-trivial rule of *sigma* in *graph*, counted
+    through the rules' own :class:`MatcherRun` streams."""
+    return sum(
+        sum(1 for _ in MatcherRun(gfd.pattern, graph).matches())
+        for gfd in nontrivial(sigma)
+    )
+
+
+def per_rule_violations(graph, sigma, limit=None):
+    """The per-rule detection oracle: each rule's :class:`MatcherRun`
+    stream filtered by its literals, up to *limit* per rule, in Σ order."""
+    found = []
+    for gfd in nontrivial(sigma):
+        count = 0
+        for match in MatcherRun(gfd.pattern, graph).matches():
+            if limit is not None and count >= limit:
+                break
+            if match_satisfies(graph, gfd.antecedent, match) and not match_satisfies(
+                graph, gfd.consequent, match
+            ):
+                found.append(Violation(gfd.name, match, evidence_ref(gfd.name, match)))
+                count += 1
+    return found
 
 
 def rule_paths(plan):
@@ -130,14 +171,26 @@ class TestTrieConstruction:
 class TestStreamEquivalence:
     @pytest.mark.parametrize("seed", [0, 4, 11])
     def test_per_rule_projection_equals_matcherrun(self, seed):
+        """Both walks project onto every rule's own stream: the plain one
+        and the simulation-cut one of :func:`sequential_run`, which leaves
+        out rules whose simulation is empty and cuts the others' pools."""
         sigma = nontrivial(small_sigma(seed=seed, count=16))
         graph = build_canonical_graph(sigma).graph
-        plan = RuleSetPlan(graph, sigma)
-        stream = list(plan.matches())
+        uncut = RuleSetPlan(graph, sigma).run()
+        stream = list(uncut.matches())
+        cut, pruned = sequential_run(graph, sigma)
+        cut_stream = list(cut.matches())
+        kept = cut.active_names()
+        assert pruned == len(sigma) - len(kept)
         for gfd in sigma:
-            projection = [match for name, match in stream if name == gfd.name]
             run = MatcherRun(gfd.pattern, graph, plan=get_plan(gfd.pattern, graph))
-            assert projection == list(run.matches()), gfd.name
+            expected = list(run.matches())
+            for walk in (stream, cut_stream):
+                projection = [match for name, match in walk if name == gfd.name]
+                assert projection == expected, gfd.name
+            if gfd.name not in kept:
+                assert simulation_candidates(gfd.pattern, graph) is None
+        assert cut.ticks <= uncut.ticks
 
     @pytest.mark.parametrize("seed", [2, 9])
     def test_pivoted_projection_equals_pivoted_matcherrun(self, seed):
@@ -171,30 +224,25 @@ class TestSequentialDifferential:
     @pytest.mark.parametrize("seed,consistent", [(1, True), (2, False), (6, False)])
     def test_seq_sat_verdicts_agree(self, seed, consistent):
         sigma = small_sigma(seed=seed, count=18, consistent=consistent)
-        base = seq_sat(sigma, use_ruleset_plan=False)
-        trie = seq_sat(sigma, use_ruleset_plan=True)
-        assert base.satisfiable == trie.satisfiable
-        if base.satisfiable:
-            # A completed (conflict-free) run enforces every match of
-            # every rule on both paths: equal totals.
-            assert base.stats.matches == trie.stats.matches
+        result = seq_sat(sigma)
+        assert result.satisfiable == par_sat(sigma, PER_RULE).satisfiable
+        if result.satisfiable:
+            # A completed (conflict-free) walk enforces every match of
+            # every rule: the total of the per-rule streams.
+            assert result.stats.matches == match_total(sigma, result.canonical.graph)
 
     @pytest.mark.parametrize("seed", [3, 8])
     def test_seq_imp_verdicts_agree(self, seed):
         sigma = small_sigma(seed=seed, count=15)
         phi = sigma[4]
         rest = [gfd for gfd in sigma if gfd.name != phi.name]
-        base = seq_imp(rest, phi, use_ruleset_plan=False)
-        trie = seq_imp(rest, phi, use_ruleset_plan=True)
-        assert base.implied == trie.implied
+        assert seq_imp(rest, phi).implied == par_imp(rest, phi, PER_RULE).implied
 
     def test_seq_imp_conflicting_sigma_agrees(self):
         sigma = add_random_conflicts(random_gfds(8, 4, 3, seed=31), 3, seed=5)
         phi = sigma[0]
         rest = sigma[1:]
-        base = seq_imp(rest, phi, use_ruleset_plan=False)
-        trie = seq_imp(rest, phi, use_ruleset_plan=True)
-        assert base.implied == trie.implied
+        assert seq_imp(rest, phi).implied == par_imp(rest, phi, PER_RULE).implied
 
     @pytest.mark.parametrize("seed", [5, 12])
     def test_detect_errors_lists_identical(self, seed):
@@ -209,27 +257,57 @@ class TestSequentialDifferential:
             for attr in sorted(attrs):
                 if rng.random() < 0.5:
                     model.set_attr(node, attr, "#dirty")
-        base = detect_errors(model, sigma, use_ruleset_plan=False)
-        trie = detect_errors(model, sigma, use_ruleset_plan=True)
-        assert base == trie
-        capped_base = detect_errors(model, sigma, limit_per_gfd=1)
-        capped_trie = detect_errors(model, sigma, limit_per_gfd=1, use_ruleset_plan=True)
-        assert capped_base == capped_trie
+        assert detect_errors(model, sigma) == per_rule_violations(model, sigma)
+        capped = detect_errors(model, sigma, limit_per_gfd=1)
+        assert capped == per_rule_violations(model, sigma, limit=1)
+
+    def test_detection_stops_once_every_rule_has_its_quota(self, monkeypatch):
+        """With ``limit_per_gfd=1`` the walk ends at the match that fills
+        the last rule's quota: no match after it is drawn."""
+        sigma = parse_gfds("gfd g { x: a; then x.A = 1; } gfd h { y: b; then y.B = 1; }")
+        graph = PropertyGraph()
+        for index in range(5):
+            graph.add_node("a", {"A": 2}, node_id=f"a{index}")
+            graph.add_node("b", {"B": 2}, node_id=f"b{index}")
+        drawn = []
+        walk = RuleSetRun.matches
+
+        def recording_matches(run):
+            for pair in walk(run):
+                drawn.append(pair)
+                yield pair
+
+        monkeypatch.setattr(RuleSetRun, "matches", recording_matches)
+        violations = detect_errors(graph, sigma, limit_per_gfd=1)
+        assert [(v.gfd_name, v.assignment) for v in violations] == [
+            ("g", {"x": "a0"}),
+            ("h", {"y": "b0"}),
+        ]
+        assert drawn[-1] == ("h", {"y": "b0"})
 
     @pytest.mark.parametrize("seed,consistent", [(4, True), (2, False)])
     def test_incremental_steps_agree(self, seed, consistent):
+        """Each step's verdict is the prefix's per-rule ParSat verdict. A
+        match of a connected rule lies in one component and is enforced at
+        the step that brings its rule or its component, whichever is
+        later, so the new matches of incremental steps sum to the prefix's
+        per-rule match total; a recomputing step counts that total
+        itself."""
         sigma = small_sigma(seed=seed, count=16, consistent=consistent)
-        base = IncrementalSat(sigma, use_ruleset_plan=False)
-        trie = IncrementalSat(sigma, use_ruleset_plan=True)
-        assert base.satisfiable == trie.satisfiable
-        for left, right in zip(base.steps, trie.steps):
-            assert (left.gfd_name, left.satisfiable, left.recomputed) == (
-                right.gfd_name,
-                right.satisfiable,
-                right.recomputed,
-            )
-            if left.satisfiable:
-                assert left.new_matches == right.new_matches
+        state = IncrementalSat(sigma)
+        assert state.satisfiable == par_sat(sigma, PER_RULE).satisfiable
+        summed = 0
+        for index, step in enumerate(state.steps):
+            prefix = sigma[: index + 1]
+            assert step.gfd_name == prefix[-1].name
+            assert step.satisfiable == par_sat(prefix, PER_RULE).satisfiable
+            summed += step.new_matches
+            if step.satisfiable:
+                assert step.recomputed == any(
+                    not gfd.pattern.is_connected() for gfd in prefix
+                )
+                total = match_total(prefix, build_canonical_graph(prefix).graph)
+                assert (step.new_matches if step.recomputed else summed) == total
 
 
 class TestEpochRevalidation:

@@ -2,6 +2,7 @@
 
 from repro.gfd import build_canonical_graph, make_gfd, make_pattern, parse_gfds
 from repro.gfd.literals import eq
+from repro.graph.graph import PropertyGraph
 from repro.reasoning.workunits import (
     WorkUnit,
     choose_pivot,
@@ -31,14 +32,14 @@ class TestPivotSelection:
     def test_selective_label_preferred(self, example4_sigma):
         canonical = build_canonical_graph(example4_sigma)
         phi7 = canonical.gfds["phi7"]
-        # Label-count mode: label 'a' (3 nodes) beats 'c' (4 nodes) and x
-        # is the pattern's center.
-        assert choose_pivot(phi7, canonical.graph, use_plan=False) == "x"
-        # Plan-aware mode prefers the leaf w: binding it first makes every
-        # other variable reachable by anchor expansion through the single
-        # x -[p]-> w edge, so the estimated search tree per candidate
-        # (~0.95 expansions) beats pivoting at the hub x (~3.8), even
-        # after multiplying by the slightly larger candidate count.
+        # On an empty graph every label count is 0, so the label-count
+        # order falls through to eccentricity: x is the pattern's center.
+        assert choose_pivot(phi7, PropertyGraph()) == "x"
+        # The plan estimate prefers the leaf w: binding it first makes
+        # every other variable reachable by anchor expansion through the
+        # single x -[p]-> w edge, so the estimated search tree per
+        # candidate (~0.95 expansions) beats pivoting at the hub x (~3.8),
+        # even after multiplying by the slightly larger candidate count.
         assert choose_pivot(phi7, canonical.graph) == "w"
 
     def test_pivot_candidates_by_label(self, example4_sigma):
