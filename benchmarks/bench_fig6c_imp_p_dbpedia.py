@@ -6,7 +6,8 @@ and ParImpnp by ~1.7x on average.
 
 import pytest
 
-from repro.parallel import RuntimeConfig, par_imp, par_imp_nb, par_imp_np
+from repro.bench.harness import per_rule_config
+from repro.parallel import par_imp, par_imp_nb, par_imp_np
 
 from conftest import run_once
 
@@ -16,25 +17,25 @@ P_SWEEP = (4, 12, 20)
 @pytest.mark.parametrize("p", P_SWEEP)
 def test_fig6c_parimp(benchmark, imp_straggler_dbpedia, p):
     workload = imp_straggler_dbpedia
-    run_once(benchmark, par_imp, workload.sigma, workload.phi, RuntimeConfig(workers=p))
+    run_once(benchmark, par_imp, workload.sigma, workload.phi, per_rule_config(workers=p))
 
 
 @pytest.mark.parametrize("p", P_SWEEP)
 def test_fig6c_parimp_np(benchmark, imp_straggler_dbpedia, p):
     workload = imp_straggler_dbpedia
-    run_once(benchmark, par_imp_np, workload.sigma, workload.phi, RuntimeConfig(workers=p))
+    run_once(benchmark, par_imp_np, workload.sigma, workload.phi, per_rule_config(workers=p))
 
 
 @pytest.mark.parametrize("p", P_SWEEP)
 def test_fig6c_parimp_nb(benchmark, imp_straggler_dbpedia, p):
     workload = imp_straggler_dbpedia
-    run_once(benchmark, par_imp_nb, workload.sigma, workload.phi, RuntimeConfig(workers=p))
+    run_once(benchmark, par_imp_nb, workload.sigma, workload.phi, per_rule_config(workers=p))
 
 
 def test_fig6c_shape(imp_straggler_dbpedia):
     workload = imp_straggler_dbpedia
-    at_4 = par_imp(workload.sigma, workload.phi, RuntimeConfig(workers=4)).virtual_seconds
-    at_20 = par_imp(workload.sigma, workload.phi, RuntimeConfig(workers=20)).virtual_seconds
-    nb_20 = par_imp_nb(workload.sigma, workload.phi, RuntimeConfig(workers=20)).virtual_seconds
+    at_4 = par_imp(workload.sigma, workload.phi, per_rule_config(workers=4)).virtual_seconds
+    at_20 = par_imp(workload.sigma, workload.phi, per_rule_config(workers=20)).virtual_seconds
+    nb_20 = par_imp_nb(workload.sigma, workload.phi, per_rule_config(workers=20)).virtual_seconds
     assert at_4 / at_20 >= 2.5
     assert nb_20 / at_20 >= 2.0

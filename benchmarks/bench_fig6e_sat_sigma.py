@@ -7,8 +7,8 @@ a ~20x-scaled range).
 
 import pytest
 
-from repro.bench.harness import sequential_virtual_seconds
-from repro.parallel import RuntimeConfig, par_sat, par_sat_nb, par_sat_np
+from repro.bench.harness import per_rule_config, sequential_virtual_seconds
+from repro.parallel import par_sat, par_sat_nb, par_sat_np
 from repro.reasoning import seq_sat
 
 from conftest import run_once
@@ -25,19 +25,19 @@ def test_fig6e_seqsat(benchmark, synthetic_sat_by_size, size):
 @pytest.mark.parametrize("size", SIZES)
 def test_fig6e_parsat(benchmark, synthetic_sat_by_size, size):
     result = run_once(
-        benchmark, par_sat, synthetic_sat_by_size[size].sigma, RuntimeConfig(workers=4)
+        benchmark, par_sat, synthetic_sat_by_size[size].sigma, per_rule_config(workers=4)
     )
     assert result.satisfiable
 
 
 @pytest.mark.parametrize("size", SIZES)
 def test_fig6e_parsat_np(benchmark, synthetic_sat_by_size, size):
-    run_once(benchmark, par_sat_np, synthetic_sat_by_size[size].sigma, RuntimeConfig(workers=4))
+    run_once(benchmark, par_sat_np, synthetic_sat_by_size[size].sigma, per_rule_config(workers=4))
 
 
 @pytest.mark.parametrize("size", SIZES)
 def test_fig6e_parsat_nb(benchmark, synthetic_sat_by_size, size):
-    run_once(benchmark, par_sat_nb, synthetic_sat_by_size[size].sigma, RuntimeConfig(workers=4))
+    run_once(benchmark, par_sat_nb, synthetic_sat_by_size[size].sigma, per_rule_config(workers=4))
 
 
 def test_fig6e_shapes(synthetic_sat_by_size):
@@ -48,7 +48,7 @@ def test_fig6e_shapes(synthetic_sat_by_size):
     }
     assert seq_costs[50] < seq_costs[200]
     par_cost = par_sat(
-        synthetic_sat_by_size[200].sigma, RuntimeConfig(workers=4)
+        synthetic_sat_by_size[200].sigma, per_rule_config(workers=4)
     ).virtual_seconds
     assert seq_costs[200] / par_cost >= 2.0
 

@@ -7,9 +7,9 @@ chase-based ParImpRDF baseline on average; SeqImp/ParImp take 982/342 s at
 
 import pytest
 
-from repro.bench.harness import sequential_virtual_seconds
+from repro.bench.harness import per_rule_config, sequential_virtual_seconds
 from repro.chase.rdf import rdf_imp
-from repro.parallel import RuntimeConfig, par_imp, par_imp_nb, par_imp_np
+from repro.parallel import par_imp, par_imp_nb, par_imp_np
 from repro.reasoning import seq_imp
 
 from bench_ruleset import per_rule_imp
@@ -27,19 +27,19 @@ def test_fig6f_seqimp(benchmark, synthetic_imp_by_size, size):
 @pytest.mark.parametrize("size", SIZES)
 def test_fig6f_parimp(benchmark, synthetic_imp_by_size, size):
     workload = synthetic_imp_by_size[size]
-    run_once(benchmark, par_imp, workload.sigma, workload.phi, RuntimeConfig(workers=4))
+    run_once(benchmark, par_imp, workload.sigma, workload.phi, per_rule_config(workers=4))
 
 
 @pytest.mark.parametrize("size", SIZES)
 def test_fig6f_parimp_np(benchmark, synthetic_imp_by_size, size):
     workload = synthetic_imp_by_size[size]
-    run_once(benchmark, par_imp_np, workload.sigma, workload.phi, RuntimeConfig(workers=4))
+    run_once(benchmark, par_imp_np, workload.sigma, workload.phi, per_rule_config(workers=4))
 
 
 @pytest.mark.parametrize("size", SIZES)
 def test_fig6f_parimp_nb(benchmark, synthetic_imp_by_size, size):
     workload = synthetic_imp_by_size[size]
-    run_once(benchmark, par_imp_nb, workload.sigma, workload.phi, RuntimeConfig(workers=4))
+    run_once(benchmark, par_imp_nb, workload.sigma, workload.phi, per_rule_config(workers=4))
 
 
 @pytest.mark.parametrize("size", SIZES)
@@ -54,7 +54,7 @@ def test_fig6f_verdicts_agree(synthetic_imp_by_size, synthetic_imp_rdf_by_size):
     for workload in synthetic_imp_by_size.values():
         expected = seq_imp(workload.sigma, workload.phi).implied
         assert per_rule_imp(workload.sigma, workload.phi)[0] == expected
-        assert par_imp(workload.sigma, workload.phi, RuntimeConfig(workers=4)).implied == expected
+        assert par_imp(workload.sigma, workload.phi, per_rule_config(workers=4)).implied == expected
     # The RDF baseline is checked on its own (chordless) workload, against
     # the sequential verdict for that same workload.
     for workload in synthetic_imp_rdf_by_size.values():

@@ -6,8 +6,8 @@ Paper shapes: time grows with k; at k=10 SeqSat/ParSat take 1253/398 s
 
 import pytest
 
-from repro.bench.harness import sequential_virtual_seconds
-from repro.parallel import RuntimeConfig, par_sat
+from repro.bench.harness import per_rule_config, sequential_virtual_seconds
+from repro.parallel import par_sat
 from repro.reasoning import seq_sat
 
 from conftest import run_once
@@ -23,7 +23,7 @@ def test_fig6g_seqsat(benchmark, synthetic_sat_by_k, k):
 
 @pytest.mark.parametrize("k", K_SWEEP)
 def test_fig6g_parsat(benchmark, synthetic_sat_by_k, k):
-    run_once(benchmark, par_sat, synthetic_sat_by_k[k].sigma, RuntimeConfig(workers=4))
+    run_once(benchmark, par_sat, synthetic_sat_by_k[k].sigma, per_rule_config(workers=4))
 
 
 def test_fig6g_growth_with_k(synthetic_sat_by_k):

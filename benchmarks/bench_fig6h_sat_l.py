@@ -6,8 +6,8 @@ cost a bit more to process but also terminate some work earlier.
 
 import pytest
 
-from repro.bench.harness import sequential_virtual_seconds
-from repro.parallel import RuntimeConfig, par_sat
+from repro.bench.harness import per_rule_config, sequential_virtual_seconds
+from repro.parallel import par_sat
 from repro.reasoning import seq_sat
 
 from conftest import run_once
@@ -23,7 +23,7 @@ def test_fig6h_seqsat(benchmark, synthetic_sat_by_l, l):
 
 @pytest.mark.parametrize("l", L_SWEEP)
 def test_fig6h_parsat(benchmark, synthetic_sat_by_l, l):
-    run_once(benchmark, par_sat, synthetic_sat_by_l[l].sigma, RuntimeConfig(workers=4))
+    run_once(benchmark, par_sat, synthetic_sat_by_l[l].sigma, per_rule_config(workers=4))
 
 
 def test_fig6h_insensitive_to_l(synthetic_sat_by_l):

@@ -6,7 +6,8 @@ Paper shapes: time grows with k; at k=10 SeqImp/ParImp take 538/201 s
 
 import pytest
 
-from repro.parallel import RuntimeConfig, par_imp
+from repro.bench.harness import per_rule_config
+from repro.parallel import par_imp
 from repro.reasoning import seq_imp
 
 from conftest import run_once
@@ -23,11 +24,11 @@ def test_fig6i_seqimp(benchmark, synthetic_imp_by_k, k):
 @pytest.mark.parametrize("k", K_SWEEP)
 def test_fig6i_parimp(benchmark, synthetic_imp_by_k, k):
     workload = synthetic_imp_by_k[k]
-    run_once(benchmark, par_imp, workload.sigma, workload.phi, RuntimeConfig(workers=4))
+    run_once(benchmark, par_imp, workload.sigma, workload.phi, per_rule_config(workers=4))
 
 
 def test_fig6i_verdicts_consistent(synthetic_imp_by_k):
     for workload in synthetic_imp_by_k.values():
         expected = seq_imp(workload.sigma, workload.phi).implied
-        actual = par_imp(workload.sigma, workload.phi, RuntimeConfig(workers=4)).implied
+        actual = par_imp(workload.sigma, workload.phi, per_rule_config(workers=4)).implied
         assert actual == expected

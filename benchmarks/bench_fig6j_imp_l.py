@@ -5,7 +5,8 @@ Paper shape: insensitive to l, like Fig. 6(h).
 
 import pytest
 
-from repro.parallel import RuntimeConfig, par_imp
+from repro.bench.harness import per_rule_config
+from repro.parallel import par_imp
 from repro.reasoning import seq_imp
 
 from conftest import run_once
@@ -22,4 +23,4 @@ def test_fig6j_seqimp(benchmark, synthetic_imp_by_l, l):
 @pytest.mark.parametrize("l", L_SWEEP)
 def test_fig6j_parimp(benchmark, synthetic_imp_by_l, l):
     workload = synthetic_imp_by_l[l]
-    run_once(benchmark, par_imp, workload.sigma, workload.phi, RuntimeConfig(workers=4))
+    run_once(benchmark, par_imp, workload.sigma, workload.phi, per_rule_config(workers=4))

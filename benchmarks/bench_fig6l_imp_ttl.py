@@ -5,7 +5,8 @@ Paper shape: same interior-optimum story as Fig. 6(k) for implication.
 
 import pytest
 
-from repro.parallel import RuntimeConfig, par_imp, par_imp_np
+from repro.bench.harness import per_rule_config
+from repro.parallel import par_imp, par_imp_np
 
 from conftest import run_once
 
@@ -20,7 +21,7 @@ def test_fig6l_parimp(benchmark, imp_straggler_dbpedia, ttl):
         par_imp,
         workload.sigma,
         workload.phi,
-        RuntimeConfig(workers=4, ttl_seconds=ttl),
+        per_rule_config(workers=4, ttl_seconds=ttl),
     )
 
 
@@ -32,14 +33,14 @@ def test_fig6l_parimp_np(benchmark, imp_straggler_dbpedia, ttl):
         par_imp_np,
         workload.sigma,
         workload.phi,
-        RuntimeConfig(workers=4, ttl_seconds=ttl),
+        per_rule_config(workers=4, ttl_seconds=ttl),
     )
 
 
 def test_fig6l_np_always_slower(imp_straggler_dbpedia):
     workload = imp_straggler_dbpedia
     for ttl in (0.5, 2.0):
-        config = RuntimeConfig(workers=4, ttl_seconds=ttl)
+        config = per_rule_config(workers=4, ttl_seconds=ttl)
         full = par_imp(workload.sigma, workload.phi, config).virtual_seconds
         no_pipeline = par_imp_np(workload.sigma, workload.phi, config).virtual_seconds
         assert no_pipeline >= full

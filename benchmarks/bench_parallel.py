@@ -8,8 +8,9 @@ Two workloads exercise the parallel runtime from opposite ends:
   it must beat on real cores (``process_speedup_vs_seq``);
 * ``delta_hub`` — hub-and-spoke topology where every spoke's match
   re-derives hub-level ``ΔEq`` facts: broadcast volume, not matching,
-  dominates. This is the scheduler comparison: pivot-affinity routing +
-  adaptive batching (the default) against the fixed-``batch_size``
+  dominates. This is the scheduler comparison: ``RuntimeConfig.affinity``
+  (the default: pivot-affinity pinning, work stealing, the fair-share
+  batch cap and adaptive batching) against the FIFO fixed-``batch_size``
   ablation (``RuntimeConfig.without_affinity()``), measured in wall
   seconds *and* in ``ParallelOutcome.broadcast_volume`` / ``sync_rounds``.
 

@@ -5,7 +5,10 @@ returns an :class:`~repro.bench.harness.Experiment` whose series mirror the
 lines of the original figure. All times are **virtual seconds** on the
 shared cost model (sequential algorithms are priced with the same model the
 simulated cluster charges), so sequential and parallel numbers are directly
-comparable — see DESIGN.md for the cluster substitution rationale.
+comparable — see DESIGN.md for the cluster substitution rationale. The
+parallel series run the paper's per-rule work units
+(:func:`~repro.bench.harness.per_rule_config`), not the library's default
+grouped units.
 
 Defaults are sized to finish in seconds per figure; pass larger sweeps for
 higher-fidelity runs (EXPERIMENTS.md records both the defaults used and
@@ -17,7 +20,6 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from ..chase.rdf import rdf_imp
-from ..parallel.config import RuntimeConfig
 from ..parallel.parimp import par_imp, par_imp_nb, par_imp_np
 from ..parallel.parsat import par_sat, par_sat_nb, par_sat_np
 from ..reasoning.seqimp import seq_imp
@@ -28,6 +30,7 @@ from .harness import (
     DEFAULT_P_SWEEP,
     DEFAULT_SIGMA_SWEEP,
     DEFAULT_TTL_SWEEP,
+    PER_RULE_UNITS,
     Experiment,
     ImpWorkload,
     SatWorkload,
@@ -35,6 +38,7 @@ from .harness import (
     mined_implication_workload,
     mined_workload,
     parallel_sat_workload,
+    per_rule_config,
     sequential_virtual_seconds,
     synthetic_imp_sweep,
     synthetic_imp_workload,
@@ -107,10 +111,11 @@ def fig6ab_sat_varying_p(
     clock = "virtual" if backend == "simulated" else f"{backend} wall"
     experiment = Experiment(
         figure, f"ParSat variants varying p ({dataset})", "p",
-        notes=f"TTL={ttl_seconds}s ({clock}); straggler-heavy satisfiable workload",
+        notes=f"TTL={ttl_seconds}s ({clock}); straggler-heavy satisfiable workload; "
+        f"{PER_RULE_UNITS}",
     )
     for p in p_sweep:
-        config = RuntimeConfig(workers=p, ttl_seconds=ttl_seconds)
+        config = per_rule_config(workers=p, ttl_seconds=ttl_seconds)
         experiment.series_named("ParSat").add(
             p, par_sat(workload.sigma, config, backend=backend).virtual_seconds)
         experiment.series_named("ParSatnp").add(
@@ -143,10 +148,11 @@ def fig6cd_imp_varying_p(
     clock = "virtual" if backend == "simulated" else f"{backend} wall"
     experiment = Experiment(
         figure, f"ParImp variants varying p ({dataset})", "p",
-        notes=f"TTL={ttl_seconds}s ({clock}); underivable target (full enumeration)",
+        notes=f"TTL={ttl_seconds}s ({clock}); underivable target (full enumeration); "
+        f"{PER_RULE_UNITS}",
     )
     for p in p_sweep:
-        config = RuntimeConfig(workers=p, ttl_seconds=ttl_seconds)
+        config = per_rule_config(workers=p, ttl_seconds=ttl_seconds)
         experiment.series_named("ParImp").add(
             p, par_imp(workload.sigma, workload.phi, config, backend=backend).virtual_seconds)
         experiment.series_named("ParImpnp").add(
@@ -172,12 +178,13 @@ def fig6e_sat_varying_sigma(
     supersets."""
     experiment = Experiment(
         "fig6e", "Satisfiability varying |Σ| (synthetic, k=6, l=5)", "|Σ|",
-        notes=f"p={workers}; |Σ| sweep scaled ~20x down from the paper's 2000-10000",
+        notes=f"p={workers}; |Σ| sweep scaled ~20x down from the paper's 2000-10000; "
+        f"{PER_RULE_UNITS}",
     )
     sweep = synthetic_sat_sweep(tuple(sigma_sweep), k=6, l=5, seed=seed)
     for size in sigma_sweep:
         workload = sweep[size]
-        config = RuntimeConfig(workers=workers)
+        config = per_rule_config(workers=workers)
         seq_result = seq_sat(workload.sigma)
         experiment.series_named("SeqSat").add(size, sequential_virtual_seconds(seq_result))
         experiment.series_named("ParSat").add(size, par_sat(workload.sigma, config).virtual_seconds)
@@ -200,7 +207,7 @@ def fig6f_imp_varying_sigma(
     ParImp-over-RDF gap."""
     experiment = Experiment(
         "fig6f", "Implication varying |Σ| (synthetic, k=6, l=5)", "|Σ|",
-        notes=f"p={workers}; ParImpRDF on the chordless-seeker variant",
+        notes=f"p={workers}; ParImpRDF on the chordless-seeker variant; {PER_RULE_UNITS}",
     )
     sweep = synthetic_imp_sweep(tuple(sigma_sweep), k=6, l=5, seed=seed)
     rdf_sweep = synthetic_imp_sweep(
@@ -208,7 +215,7 @@ def fig6f_imp_varying_sigma(
     )
     for size in sigma_sweep:
         workload = sweep[size]
-        config = RuntimeConfig(workers=workers)
+        config = per_rule_config(workers=workers)
         seq_result = seq_imp(workload.sigma, workload.phi)
         experiment.series_named("SeqImp").add(size, sequential_virtual_seconds(seq_result))
         experiment.series_named("ParImp").add(
@@ -236,13 +243,13 @@ def fig6g_sat_varying_k(
     Paper: time grows with k; optimizations matter more at large k."""
     experiment = Experiment(
         "fig6g", "Satisfiability varying pattern size k", "k",
-        notes=f"|Σ|={sigma_size}, l=3, p={workers}",
+        notes=f"|Σ|={sigma_size}, l=3, p={workers}; {PER_RULE_UNITS}",
     )
     for k in k_sweep:
         workload = synthetic_sat_workload(
             sigma_size, k=k, l=3, seed=seed, num_labels=6, near_k=True
         )
-        config = RuntimeConfig(workers=workers)
+        config = per_rule_config(workers=workers)
         seq_result = seq_sat(workload.sigma)
         experiment.series_named("SeqSat").add(k, sequential_virtual_seconds(seq_result))
         experiment.series_named("ParSat").add(k, par_sat(workload.sigma, config).virtual_seconds)
@@ -261,11 +268,11 @@ def fig6h_sat_varying_l(
     Paper: not very sensitive to l."""
     experiment = Experiment(
         "fig6h", "Satisfiability varying literal count l", "l",
-        notes=f"|Σ|={sigma_size}, k=5, p={workers}",
+        notes=f"|Σ|={sigma_size}, k=5, p={workers}; {PER_RULE_UNITS}",
     )
     for l in l_sweep:
         workload = synthetic_sat_workload(sigma_size, k=5, l=l, seed=seed)
-        config = RuntimeConfig(workers=workers)
+        config = per_rule_config(workers=workers)
         seq_result = seq_sat(workload.sigma)
         experiment.series_named("SeqSat").add(l, sequential_virtual_seconds(seq_result))
         experiment.series_named("ParSat").add(l, par_sat(workload.sigma, config).virtual_seconds)
@@ -283,11 +290,11 @@ def fig6i_imp_varying_k(
     """Implication vs pattern size ``k`` (Fig. 6(i), l=3, p=4)."""
     experiment = Experiment(
         "fig6i", "Implication varying pattern size k", "k",
-        notes=f"|Σ|={sigma_size}, l=3, p={workers}",
+        notes=f"|Σ|={sigma_size}, l=3, p={workers}; {PER_RULE_UNITS}",
     )
     for k in k_sweep:
         workload = synthetic_imp_workload(sigma_size, k=k, l=3, seed=seed)
-        config = RuntimeConfig(workers=workers)
+        config = per_rule_config(workers=workers)
         seq_result = seq_imp(workload.sigma, workload.phi)
         experiment.series_named("SeqImp").add(k, sequential_virtual_seconds(seq_result))
         experiment.series_named("ParImp").add(
@@ -308,11 +315,11 @@ def fig6j_imp_varying_l(
     """Implication vs literal count ``l`` (Fig. 6(j), k=5, p=4)."""
     experiment = Experiment(
         "fig6j", "Implication varying literal count l", "l",
-        notes=f"|Σ|={sigma_size}, k=5, p={workers}",
+        notes=f"|Σ|={sigma_size}, k=5, p={workers}; {PER_RULE_UNITS}",
     )
     for l in l_sweep:
         workload = synthetic_imp_workload(sigma_size, k=5, l=l, seed=seed)
-        config = RuntimeConfig(workers=workers)
+        config = per_rule_config(workers=workers)
         seq_result = seq_imp(workload.sigma, workload.phi)
         experiment.series_named("SeqImp").add(l, sequential_virtual_seconds(seq_result))
         experiment.series_named("ParImp").add(
@@ -345,10 +352,10 @@ def fig6k_sat_varying_ttl(
     workload = SatWorkload("ttl-stragglers", sigma, expected_satisfiable=True)
     experiment = Experiment(
         "fig6k", "ParSat varying TTL (straggler splitting)", "TTL(s)",
-        notes=f"p={workers}; straggler-heavy satisfiable workload",
+        notes=f"p={workers}; straggler-heavy satisfiable workload; {PER_RULE_UNITS}",
     )
     for ttl in ttl_sweep:
-        config = RuntimeConfig(workers=workers, ttl_seconds=ttl)
+        config = per_rule_config(workers=workers, ttl_seconds=ttl)
         experiment.series_named("ParSat").add(ttl, par_sat(workload.sigma, config).virtual_seconds)
         experiment.series_named("ParSatnp").add(ttl, par_sat_np(workload.sigma, config).virtual_seconds)
     return experiment
@@ -363,10 +370,10 @@ def fig6l_imp_varying_ttl(
     workload = implication_workload(seed=seed)
     experiment = Experiment(
         "fig6l", "ParImp varying TTL (straggler splitting)", "TTL(s)",
-        notes=f"p={workers}",
+        notes=f"p={workers}; {PER_RULE_UNITS}",
     )
     for ttl in ttl_sweep:
-        config = RuntimeConfig(workers=workers, ttl_seconds=ttl)
+        config = per_rule_config(workers=workers, ttl_seconds=ttl)
         experiment.series_named("ParImp").add(
             ttl, par_imp(workload.sigma, workload.phi, config).virtual_seconds)
         experiment.series_named("ParImpnp").add(

@@ -30,7 +30,7 @@ from ..gfd.literals import ConstantLiteral, VariableLiteral
 from ..gfd.pattern import Pattern
 from ..gfd.gfd import make_gfd
 from ..graph.elements import WILDCARD
-from ..parallel.config import CostModel
+from ..parallel.config import CostModel, RuntimeConfig
 
 #: Scaled-down counterparts of the paper's workload sizes. The paper mines
 #: 8000/6000/10000 GFDs and sweeps |Σ| to 10000 on a 20-machine Java
@@ -50,6 +50,21 @@ SEEKER_SPACING = 25
 #: back to this many of the first nodes. Late-failing chords keep the
 #: search tree large and the match count small — matching-dominated cost.
 SEEKER_CHORDS = 4
+
+
+#: The unit shape of every parallel series, named in its notes.
+PER_RULE_UNITS = "per-rule units"
+
+
+def per_rule_config(**kwargs) -> RuntimeConfig:
+    """A runtime config on the paper's per-rule work units ``(Q[z], φ)``.
+
+    ParSat/ParImp ship one unit per (GFD, pivot). Grouped units, the
+    library default, share trie prefixes across rules and so shift the
+    ablation ratios the Fig. 6 series reproduce: every parallel series
+    runs ``use_ruleset_plan=False``.
+    """
+    return RuntimeConfig(use_ruleset_plan=False, **kwargs)
 
 
 # ----------------------------------------------------------------------

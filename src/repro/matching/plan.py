@@ -109,8 +109,8 @@ def step_branch_estimate(index: GraphIndex, step: "VarStep") -> float:
     An anchored step branches by ``min(label-bucket size, avg adjacency-
     group size × label selectivity)`` — the same estimate the candidate
     strategy compares at run time — and an unanchored step by its full
-    label bucket. Shared by :meth:`MatchPlan.estimated_fanout` and the
-    per-trie-node fanout of :class:`repro.matching.ruleset.RuleSetPlan`.
+    label bucket. Summed over prefixes by
+    :meth:`MatchPlan.estimated_fanout`.
     """
     num_nodes = max(1, len(index.nodes))
     if step.label_id is None:

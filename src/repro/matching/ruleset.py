@@ -83,7 +83,7 @@ from .homomorphism import (
     edge_label_matches,
     node_label_matches,
 )
-from .plan import StepSignature, VarStep, get_plan, step_branch_estimate, step_signature
+from .plan import StepSignature, VarStep, get_plan, step_signature
 from .simulation import CandidateSet
 
 __all__ = [
@@ -193,8 +193,6 @@ class RuleSetPlan:
         #: Leaves of rules with no free steps (pivoted single-variable
         #: patterns): the validated pivot itself is the whole match.
         self.root_leaves: List[RuleLeaf] = []
-        self._rule_costs: Dict[str, float] = {}
-        self._leaf_count: Dict[str, int] = {}
         self._absent_labels: Set[str] = set()
         pivots = pivot_vars or {}
         for gfd in gfds:
@@ -255,7 +253,6 @@ class RuleSetPlan:
             self.root_leaves.append(leaf)
         else:
             node.leaves.append(leaf)
-        self._leaf_count[name] = self._leaf_count.get(name, 0) + 1
 
     def _compile_slot_step(self, signature: StepSignature, depth: int) -> VarStep:
         label_str, anchor_slot, anchor_out, anchor_label_str, checks_sig = signature
@@ -310,40 +307,13 @@ class RuleSetPlan:
     def _rebuild(self) -> None:
         self.roots = {}
         self.root_leaves = []
-        self._rule_costs = {}
-        self._leaf_count = {}
         self._absent_labels = set()
         for name, gfd in self.gfds.items():
             self._insert(gfd, self.pivot_vars.get(name))
 
     # ------------------------------------------------------------------
-    # Cost + grouping signals
+    # Diagnostics
     # ------------------------------------------------------------------
-    def rule_cost(self, name: str) -> float:
-        """Estimated search-tree size of *name*'s path (the sum, over its
-        nodes, of the prefix products of per-step branch estimates) — the
-        per-rule share of a unit's cost; 1.0 for a rule not in the trie.
-
-        Priced on first request, because the estimates read index
-        statistics that every delta resets: walks that never price units
-        (the sequential callers) never pay for a refill.
-        """
-        if name not in self.gfds:
-            return 1.0
-        cost = self._rule_costs.get(name)
-        if cost is None:
-            cost, fanout = 0.0, 1.0
-            children: Iterable[TrieNode] = self.roots.values()
-            while True:
-                node = next((child for child in children if name in child.rules), None)
-                if node is None:
-                    break
-                fanout *= step_branch_estimate(self.index, node.step)
-                cost += fanout
-                children = node.children.values()
-            self._rule_costs[name] = cost
-        return cost
-
     def nodes(self) -> Iterator[TrieNode]:
         """All trie nodes, preorder (diagnostics and tests)."""
         stack = list(self.roots.values())

@@ -1110,8 +1110,8 @@ class ProcessBackend(Backend):
                 # settlement syncs carry no work, so their payload says
                 # nothing about what a batch of units costs. The latency
                 # axis is the full dispatch→receive interval (pickling,
-                # wire and queuing included), which is what
-                # batch_target_seconds promises to bound — the worker's
+                # wire and queuing included), which is what the
+                # scheduler's BATCH_TARGET_SECONDS bounds — the worker's
                 # own busy clock would miss exactly the communication
                 # cost batching exists to control.
                 scheduler.observe(

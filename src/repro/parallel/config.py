@@ -22,7 +22,11 @@ DEFAULT_TTL_SECONDS = 2.0
 
 #: Hang detection: a worker with no latency history yet is allowed this
 #: many wall seconds per batch before being declared dead.
-DEFAULT_BATCH_TIMEOUT_FLOOR = 30.0
+BATCH_TIMEOUT_FLOOR = 30.0
+
+#: Hang detection: once round trips have been observed, a batch may take
+#: this many times the slowest of them (never less than the floor).
+BATCH_TIMEOUT_FACTOR = 8.0
 
 
 @dataclass(frozen=True)
@@ -68,51 +72,25 @@ class RuntimeConfig:
         Units handed to a worker per coordinator round-trip ("work units
         can be assigned ... in a small batch rather than a single w, to
         reduce the communication cost", paper Section V-B). With
-        ``adaptive_batch`` this is the *initial* per-worker size; batches
-        are exactly this size only in the full ablation
-        (:meth:`without_affinity`) — while either scheduler feature is
-        on, the fair-share cap may still trim a batch to the worker's
-        share of the remaining queue.
+        ``affinity`` on this is each worker's *initial* batch size, which
+        then adapts; batches are exactly this size only in the ablation
+        (:meth:`without_affinity`).
     affinity:
-        Pivot-locality scheduling: the
-        :class:`~repro.parallel.scheduler.Scheduler` routes work units
-        whose pivots share a neighborhood (same locality key, see
-        :meth:`~repro.parallel.units.UnitContext.locality_key`) to the
+        The scheduler's locality features, on together: pivot-locality
+        pinning — the :class:`~repro.parallel.scheduler.Scheduler` routes
+        work units whose pivots share a neighborhood (same locality key,
+        see :meth:`~repro.parallel.units.UnitContext.locality_key`) to the
         same worker replica, so its warm BFS hop maps and already-applied
-        ``ΔEq`` ops are reused instead of re-derived — and the duplicate
+        ``ΔEq`` ops are reused instead of re-derived, and the duplicate
         ops that co-located units rediscover never cross the coordinator
-        boundary. ``False`` is the ablation: plain FIFO dispatch to
-        whichever worker frees up first.
-    affinity_cost_feedback:
-        Cost-aware pinning: the scheduler consults the
-        :meth:`~repro.parallel.units.UnitContext.unit_cost` estimate
-        (compiled plan/trie fan-out) and spills a locality group's units
-        to the global queue once their owner holds its fair share of the
-        initial queue's estimated cost — oversized groups split across
-        replicas at enqueue time instead of waiting for the fair-share
-        batch cap and work stealing to repair the imbalance.
-        ``ParallelOutcome.affinity_overflows`` counts the spills.
-        ``False`` restores pure first-touch pinning (the ablation).
-        Ignored when ``affinity`` is off.
-    adaptive_batch:
-        Per-worker adaptive batch sizing: the scheduler grows a worker's
-        batch (toward ``max_batch_size``) while round trips come back
-        cheap, and halves it when the observed ``ΔEq`` payload exceeds
-        ``batch_delta_budget`` ops or the round trip overshoots
-        ``batch_target_seconds`` — delta-heavy workers then sync more
-        often, keeping every replica's ``Eq`` fresh. ``False`` keeps the
-        fixed ``batch_size`` (the ablation, paired with
-        ``affinity=False`` by :meth:`without_affinity`).
-    max_batch_size:
-        Upper bound for adaptive batch growth. Values below ``batch_size``
-        are not an error: the effective cap is
-        ``max(batch_size, max_batch_size)``.
-    batch_delta_budget:
-        ΔEq ops per round trip above which an adaptive batch shrinks.
-    batch_target_seconds:
-        Round-trip duration (virtual seconds on the simulated backend,
-        wall seconds elsewhere) above which an adaptive batch shrinks;
-        batches only grow while round trips finish in half this budget.
+        boundary — with work stealing for idle workers, a fair-share cap
+        that trims a batch to the worker's share of the remaining queue,
+        and adaptive batch sizing: a worker's batch grows while round
+        trips come back cheap and halves when their ``ΔEq`` payload or
+        duration overshoots (the scheduler's ``MAX_BATCH_SIZE``,
+        ``BATCH_DELTA_BUDGET`` and ``BATCH_TARGET_SECONDS``). ``False`` is
+        the ablation: plain FIFO dispatch of fixed ``batch_size`` batches
+        to whichever worker frees up first.
     use_dependency_order / use_simulation_pruning:
         The remaining optimizations, togglable for ablations.
     use_bitsets:
@@ -162,13 +140,11 @@ class RuntimeConfig:
         exceeds this many wall seconds is declared dead, killed, and its
         in-flight units are recovered. ``None`` (default) derives the
         deadline adaptively from the worker pool's observed latency
-        history: ``max(batch_timeout_floor, batch_timeout_factor × the
+        history: ``max(BATCH_TIMEOUT_FLOOR, BATCH_TIMEOUT_FACTOR × the
         slowest round trip seen so far)`` — generous enough that a slow
         batch never trips it, bounded enough that a hung worker cannot
-        block the run forever.
-    batch_timeout_floor / batch_timeout_factor:
-        The adaptive deadline's parameters (see above). The floor also
-        covers the first round trip, before any history exists.
+        block the run forever. The floor also covers the first round
+        trip, before any history exists.
     max_worker_respawns:
         How many times one worker slot may be respawned after its process
         dies (crash or hang). Respawned replicas are rebuilt from the
@@ -219,11 +195,6 @@ class RuntimeConfig:
     max_split_units: int = 16
     batch_size: int = 6
     affinity: bool = True
-    affinity_cost_feedback: bool = True
-    adaptive_batch: bool = True
-    max_batch_size: int = 32
-    batch_delta_budget: int = 64
-    batch_target_seconds: float = 0.25
     use_dependency_order: bool = True
     use_simulation_pruning: bool = True
     use_bitsets: bool = True
@@ -233,8 +204,6 @@ class RuntimeConfig:
     max_unit_retries: int = 2
     strict_faults: bool = False
     batch_timeout_seconds: Optional[float] = None
-    batch_timeout_floor: float = DEFAULT_BATCH_TIMEOUT_FLOOR
-    batch_timeout_factor: float = 8.0
     max_worker_respawns: int = 1
     respawn_backoff_seconds: float = 0.05
     min_live_workers: int = 1
@@ -252,18 +221,6 @@ class RuntimeConfig:
             raise RuntimeConfigError("max_split_units must be >= 1")
         if self.batch_size < 1:
             raise RuntimeConfigError("batch_size must be >= 1")
-        if self.max_batch_size < 1:
-            raise RuntimeConfigError(
-                f"max_batch_size must be >= 1, got {self.max_batch_size}"
-            )
-        if self.batch_delta_budget < 1:
-            raise RuntimeConfigError(
-                f"batch_delta_budget must be >= 1, got {self.batch_delta_budget}"
-            )
-        if self.batch_target_seconds <= 0:
-            raise RuntimeConfigError(
-                f"batch_target_seconds must be positive, got {self.batch_target_seconds}"
-            )
         if self.start_method is not None and self.start_method not in (
             "fork",
             "spawn",
@@ -280,10 +237,6 @@ class RuntimeConfig:
         if self.batch_timeout_seconds is not None and self.batch_timeout_seconds <= 0:
             raise RuntimeConfigError(
                 "batch_timeout_seconds must be positive (or None for adaptive)"
-            )
-        if self.batch_timeout_floor <= 0 or self.batch_timeout_factor <= 0:
-            raise RuntimeConfigError(
-                "batch_timeout_floor and batch_timeout_factor must be positive"
             )
         if self.max_worker_respawns < 0:
             raise RuntimeConfigError(
@@ -325,7 +278,7 @@ class RuntimeConfig:
 
     def without_affinity(self) -> "RuntimeConfig":
         """The scheduler ablation: FIFO routing and fixed ``batch_size``."""
-        return replace(self, affinity=False, adaptive_batch=False)
+        return replace(self, affinity=False)
 
     def with_ruleset_plan(self) -> "RuntimeConfig":
         """Grouped work units through the shared-prefix trie (the default)."""
@@ -339,20 +292,13 @@ class RuntimeConfig:
         """The provenance-capture ablation (no evidence, bare sources)."""
         return replace(self, capture_provenance=False)
 
-    @property
-    def batch_size_cap(self) -> int:
-        """The effective adaptive-batch ceiling (never below ``batch_size``)."""
-        return max(self.batch_size, self.max_batch_size)
-
     def batch_deadline(self, slowest_round_trip: float = 0.0) -> float:
         """Wall seconds one batch round trip may take before the worker is
         declared hung: the explicit ``batch_timeout_seconds`` when set,
         else adaptive from the pool's slowest observed round trip."""
         if self.batch_timeout_seconds is not None:
             return self.batch_timeout_seconds
-        return max(
-            self.batch_timeout_floor, self.batch_timeout_factor * slowest_round_trip
-        )
+        return max(BATCH_TIMEOUT_FLOOR, BATCH_TIMEOUT_FACTOR * slowest_round_trip)
 
     def with_workers(self, workers: int) -> "RuntimeConfig":
         return replace(self, workers=workers)

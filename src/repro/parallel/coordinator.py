@@ -88,10 +88,6 @@ class ParallelOutcome:
     #: elsewhere (work stealing). Both 0 when ``affinity`` is off.
     affinity_hits: int = 0
     affinity_misses: int = 0
-    #: Units rerouted to the global queue at enqueue time because their
-    #: locality key's owner was already cost-saturated (the scheduler's
-    #: cost-feedback split of oversized groups). 0 when ``affinity`` off.
-    affinity_overflows: int = 0
     #: Batch-size changes the adaptive scheduler made, and the final
     #: per-worker batch sizes it converged to.
     batch_adaptations: int = 0

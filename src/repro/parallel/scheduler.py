@@ -17,11 +17,11 @@ traffic on two axes:
   the pivot's closed neighborhood, derived from the compiled
   :class:`~repro.graph.index.GraphIndex`;
 * **adaptive batch sizing** — each worker's batch grows (toward
-  ``RuntimeConfig.max_batch_size``) while round trips come back cheap,
-  and halves as soon as the observed ``ΔEq`` payload exceeds
-  ``batch_delta_budget`` ops or the round trip overshoots
-  ``batch_target_seconds``: delta-heavy workers then sync more often, so
-  their peers stop re-deriving facts already known elsewhere.
+  :data:`MAX_BATCH_SIZE`) while round trips come back cheap, and halves
+  as soon as the observed ``ΔEq`` payload exceeds
+  :data:`BATCH_DELTA_BUDGET` ops or the round trip overshoots
+  :data:`BATCH_TARGET_SECONDS`: delta-heavy workers then sync more often,
+  so their peers stop re-deriving facts already known elsewhere.
 
 Fairness: pinning must not starve a free worker. Every worker serves the
 split priority lane first (paper, lines 9–10 of ParSat: straggler
@@ -31,9 +31,9 @@ the unpinned global queue, and finally *steals* from the back of the most
 loaded peer's queue — the paper's dynamic assignment, with affinity as a
 preference rather than a constraint.
 
-The ``affinity=False`` / ``adaptive_batch=False`` ablation collapses to
-the PR-2 behavior exactly: one FIFO queue, fixed ``batch_size`` batches to
-whichever worker frees up first.
+``RuntimeConfig.affinity`` switches all of this on together. The
+``affinity=False`` ablation is plain dynamic assignment: one FIFO queue,
+fixed ``batch_size`` batches to whichever worker frees up first.
 """
 
 from __future__ import annotations
@@ -43,6 +43,18 @@ from typing import Deque, Dict, List, Optional, Sequence, Set
 
 from ..reasoning.workunits import WorkUnit
 from .config import RuntimeConfig
+
+#: Adaptive batching: a worker's batch never grows past this many units
+#: (or past ``RuntimeConfig.batch_size``, when that is larger).
+MAX_BATCH_SIZE = 32
+
+#: Adaptive batching: ΔEq ops per round trip above which a batch shrinks.
+BATCH_DELTA_BUDGET = 64
+
+#: Adaptive batching: round-trip duration (virtual seconds on the
+#: simulated backend, wall seconds elsewhere) above which a batch shrinks;
+#: batches only grow while round trips finish in half this budget.
+BATCH_TARGET_SECONDS = 0.25
 
 
 class Scheduler:
@@ -66,20 +78,11 @@ class Scheduler:
     ) -> None:
         self.config = config
         workers = config.workers
-        #: Affinity needs a context (the locality key is topology-derived);
-        #: backends always pass one, but a bare Scheduler degrades to FIFO.
+        #: Pinning needs a context (the locality key is topology-derived);
+        #: backends always pass one, but a bare Scheduler routes FIFO. Its
+        #: batches still adapt and stay fair-share capped.
         self.affinity = bool(config.affinity and context is not None)
         self._context = context
-        #: Cost feedback: pinning consults the context's per-unit search
-        #: cost estimate (plan ``estimated_fanout``, trie ``rule_cost``),
-        #: so an oversized locality group spills to the global queue *at
-        #: enqueue time* instead of waiting for the fair-share cap to
-        #: repair the imbalance batch by batch.
-        self.cost_feedback = (
-            self.affinity
-            and config.affinity_cost_feedback
-            and hasattr(context, "unit_cost")
-        )
         self._alive: Set[int] = set(range(workers))
         #: Split sub-units: highest priority, unpinned (any worker).
         self._priority: Deque[WorkUnit] = deque()
@@ -91,9 +94,6 @@ class Scheduler:
         self._owner: Dict[object, int] = {}
         #: Queued pinned units per worker (routing load balance).
         self._pinned_load: List[int] = [0] * workers
-        #: Estimated cost ever pinned to each worker (monotone within a
-        #: worker's lifetime; reset when the worker dies).
-        self._pinned_cost: List[float] = [0.0] * workers
         self._batch: List[int] = [config.batch_size] * workers
         self._size = 0
         # --- stats (exported into ParallelOutcome by the backends) ---
@@ -101,20 +101,10 @@ class Scheduler:
         self.affinity_hits = 0
         #: Pinned units executed away from their owner (work stealing).
         self.affinity_misses = 0
-        #: Units whose locality key's owner was already cost-saturated,
-        #: rerouted to the global queue at enqueue time (cost feedback).
-        self.affinity_overflows = 0
         #: Batch-size changes made by :meth:`observe`.
         self.batch_adaptations = 0
         #: Units re-pinned by :meth:`worker_died`.
         self.reassigned_units = 0
-        #: Total estimated cost of the initial queue — each worker's fair
-        #: cost share is this divided by the number of live workers.
-        self._total_cost = (
-            sum(context.unit_cost(unit) for unit in units)
-            if self.cost_feedback
-            else 0.0
-        )
         for unit in units:
             self._enqueue(unit)
 
@@ -137,31 +127,14 @@ class Scheduler:
             self._owner[key] = owner
         return owner
 
-    def _cost_share(self) -> float:
-        """One worker's fair share of the initial queue's estimated cost."""
-        return self._total_cost / max(1, len(self._alive))
-
     def _enqueue(self, unit: WorkUnit, front: bool = False) -> None:
         key = self._key(unit)
         if key is None:
             queue = self._global
         else:
             owner = self._owner_for(key)
-            cost = self._context.unit_cost(unit) if self.cost_feedback else 0.0
-            if (
-                self.cost_feedback
-                and self._pinned_cost[owner] > 0.0
-                and self._pinned_cost[owner] + cost > self._cost_share()
-            ):
-                # The owner already holds its fair cost share: spill the
-                # rest of this (oversized) locality group to the global
-                # queue so free replicas absorb it immediately.
-                self.affinity_overflows += 1
-                queue = self._global
-            else:
-                queue = self._local[owner]
-                self._pinned_load[owner] += 1
-                self._pinned_cost[owner] += cost
+            queue = self._local[owner]
+            self._pinned_load[owner] += 1
         if front:
             queue.appendleft(unit)
         else:
@@ -190,12 +163,12 @@ class Scheduler:
         *back* of the most loaded peer's queue — the coldest work, whose
         owner would reach it last anyway.
         """
-        limit = self._batch[worker_id] if self.config.adaptive_batch else self.config.batch_size
-        if self.affinity or self.config.adaptive_batch:
+        limit = self._batch[worker_id]
+        if self.config.affinity:
             # Fair-share cap: a batch never takes more than this worker's
             # share of the remaining queue, so a replica with a popular
             # locality key cannot swallow the tail of the run in one trip
-            # while its peers idle (the ablation keeps PR-2's plain cap).
+            # while its peers idle (the ablation keeps the plain cap).
             alive = len(self._alive) or 1
             limit = min(limit, max(1, -(-self._size // alive)))
         batch: List[WorkUnit] = []
@@ -251,21 +224,20 @@ class Scheduler:
         the budget or the trip overshot the latency target; grow only when
         the worker filled its batch and came back cheap on both axes.
         """
-        if not self.config.adaptive_batch:
+        if not self.config.affinity:
             return
-        config = self.config
         size = self._batch[worker_id]
-        overloaded = delta_ops > config.batch_delta_budget or (
-            seconds is not None and seconds > config.batch_target_seconds
+        overloaded = delta_ops > BATCH_DELTA_BUDGET or (
+            seconds is not None and seconds > BATCH_TARGET_SECONDS
         )
         if overloaded:
             new_size = max(1, size // 2)
         elif (
             executed >= size
-            and delta_ops * 2 <= config.batch_delta_budget
-            and (seconds is None or seconds * 2 <= config.batch_target_seconds)
+            and delta_ops * 2 <= BATCH_DELTA_BUDGET
+            and (seconds is None or seconds * 2 <= BATCH_TARGET_SECONDS)
         ):
-            new_size = min(config.batch_size_cap, size * 2)
+            new_size = min(max(self.config.batch_size, MAX_BATCH_SIZE), size * 2)
         else:
             return
         if new_size != size:
@@ -289,7 +261,6 @@ class Scheduler:
         orphans = self._local[worker_id]
         self._local[worker_id] = deque()
         self._pinned_load[worker_id] = 0
-        self._pinned_cost[worker_id] = 0.0
         self._size -= len(orphans)
         for key in [key for key, owner in self._owner.items() if owner == worker_id]:
             del self._owner[key]
@@ -320,7 +291,6 @@ class Scheduler:
         """Copy scheduling counters into a :class:`ParallelOutcome`."""
         outcome.affinity_hits = self.affinity_hits
         outcome.affinity_misses = self.affinity_misses
-        outcome.affinity_overflows = self.affinity_overflows
         outcome.batch_adaptations = self.batch_adaptations
         outcome.batch_sizes = self.batch_sizes
 

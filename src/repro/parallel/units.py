@@ -119,8 +119,6 @@ class UnitContext:
         #: holds compiled, index-bound steps — and rebuilt worker-side on
         #: first grouped unit.
         self._ruleset_plan = None
-        #: unit-cost memo: gfd name -> estimated per-pivot search cost.
-        self._unit_costs: Dict[str, float] = {}
         # Graph mutation count the topology caches are valid for; checked
         # lazily at every cache entry point so a context reused across
         # mutations (any backend, or direct execute_unit) never serves
@@ -159,9 +157,6 @@ class UnitContext:
         self._candidates.clear()
         self._locality_keys.clear()
         self._degrees.clear()
-        # Cost estimates are topology-derived too; the trie itself is kept
-        # (its walks revalidate against the index epoch on entry).
-        self._unit_costs.clear()
         self._topology_version = self.graph.mutation_count
         # Re-derive the size-gated simulation decision: deltas may have
         # grown the graph past SIMULATION_NODE_LIMIT (or a caller may
@@ -214,36 +209,6 @@ class UnitContext:
                 plan.add(gfd, pivot, order)
             self._ruleset_plan = plan
         return self._ruleset_plan
-
-    def unit_cost(self, unit: WorkUnit) -> float:
-        """Estimated per-pivot search cost of *unit* — the scheduler's
-        cost-feedback signal for fair pinned-load balancing.
-
-        Grouped units sum their members' trie-path costs (prefix products
-        of per-node branch estimates, shared prefixes counted per rule);
-        classic units use the compiled per-rule plan's pivoted fan-out
-        estimate. Memoized per rule name — every unit of one rule shares
-        the pivot variable, hence the estimate.
-        """
-        cost = 0.0
-        grouped = bool(unit.group)
-        for name in unit.gfd_names:
-            cached = self._unit_costs.get(name)
-            if cached is None:
-                gfd = self.gfds.get(name)
-                if gfd is None or gfd.is_trivial():
-                    # Unregistered rules (bare contexts in tests, foreign
-                    # units) cost one flat unit — routing still balances.
-                    cached = 1.0
-                elif grouped:
-                    cached = 1.0 + self.ruleset_plan().rule_cost(name)
-                elif unit.pivot_var in gfd.pattern.variables:
-                    cached = 1.0 + self.plan_for(gfd).estimated_fanout(unit.pivot_var)
-                else:
-                    cached = 1.0
-                self._unit_costs[name] = cached
-            cost += cached
-        return cost
 
     def _ensure_current(self) -> None:
         """Drop topology caches if the graph has mutated since last use."""
@@ -387,7 +352,6 @@ class UnitContext:
         # Affinity routing runs coordinator-side only; workers never ask.
         state["_locality_keys"] = {}
         state["_degrees"] = {}
-        state["_unit_costs"] = {}
         state["_candidates"] = {
             name: sim
             if sim is None

@@ -28,6 +28,7 @@ from repro.parallel import (
     par_imp,
     par_sat,
 )
+from repro.parallel.config import BATCH_TIMEOUT_FACTOR, BATCH_TIMEOUT_FLOOR
 from repro.reasoning.seqimp import seq_imp
 from repro.reasoning.seqsat import seq_sat
 from repro.reasoning.workunits import WorkUnit
@@ -111,8 +112,6 @@ class TestConfigValidation:
         [
             dict(max_unit_retries=-1),
             dict(batch_timeout_seconds=0.0),
-            dict(batch_timeout_floor=0.0),
-            dict(batch_timeout_factor=0.0),
             dict(max_worker_respawns=-1),
             dict(respawn_backoff_seconds=-0.1),
             dict(min_live_workers=-1),
@@ -126,10 +125,11 @@ class TestConfigValidation:
     def test_batch_deadline(self):
         config = RuntimeConfig(workers=2)
         # No history: the floor holds.
-        assert config.batch_deadline() == config.batch_timeout_floor
+        assert config.batch_deadline() == BATCH_TIMEOUT_FLOOR == 30.0
         # History: factor x slowest observed round trip, once past the floor.
-        slow = config.batch_timeout_floor
-        assert config.batch_deadline(slow) == config.batch_timeout_factor * slow
+        slow = BATCH_TIMEOUT_FLOOR
+        assert config.batch_deadline(slow) == BATCH_TIMEOUT_FACTOR * slow
+        assert BATCH_TIMEOUT_FACTOR == 8.0
         # An explicit timeout wins over the adaptive rule.
         fixed = RuntimeConfig(workers=2, batch_timeout_seconds=1.5)
         assert fixed.batch_deadline(1000.0) == 1.5

@@ -1,5 +1,7 @@
 """Tests for the parallel runtime configuration and cost model."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import RuntimeConfigError
@@ -41,38 +43,20 @@ class TestRuntimeConfig:
         with pytest.raises(RuntimeConfigError):
             RuntimeConfig(batch_size=0)
 
-    def test_invalid_max_batch(self):
-        with pytest.raises(RuntimeConfigError):
-            RuntimeConfig(max_batch_size=0)
-
-    def test_invalid_delta_budget(self):
-        with pytest.raises(RuntimeConfigError):
-            RuntimeConfig(batch_delta_budget=0)
-
-    def test_invalid_batch_target(self):
-        with pytest.raises(RuntimeConfigError):
-            RuntimeConfig(batch_target_seconds=0.0)
-        with pytest.raises(RuntimeConfigError):
-            RuntimeConfig(batch_target_seconds=-1.0)
-
     def test_config_errors_are_value_errors(self):
         # Clear ValueErrors, catchable without importing the hierarchy.
         with pytest.raises(ValueError) as exc_info:
             RuntimeConfig(workers=0)
         assert "workers" in str(exc_info.value)
         with pytest.raises(ValueError) as exc_info:
-            RuntimeConfig(batch_delta_budget=-5)
-        assert "batch_delta_budget" in str(exc_info.value)
-
-    def test_batch_size_cap_never_below_batch_size(self):
-        assert RuntimeConfig(batch_size=6, max_batch_size=32).batch_size_cap == 32
-        assert RuntimeConfig(batch_size=48, max_batch_size=32).batch_size_cap == 48
+            RuntimeConfig(max_unit_retries=-5)
+        assert "max_unit_retries" in str(exc_info.value)
 
     def test_without_affinity_is_fixed_batch_ablation(self):
         config = RuntimeConfig(workers=8)
-        assert config.affinity and config.adaptive_batch
+        assert config.affinity
         ablation = config.without_affinity()
-        assert not ablation.affinity and not ablation.adaptive_batch
+        assert ablation == replace(config, affinity=False)
         assert ablation.workers == 8 and ablation.batch_size == config.batch_size
 
     def test_ttl_none_disables_splitting(self):

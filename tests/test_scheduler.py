@@ -18,6 +18,11 @@ from repro.parallel import (
     UnitContext,
     par_sat,
 )
+from repro.parallel.scheduler import (
+    BATCH_DELTA_BUDGET,
+    BATCH_TARGET_SECONDS,
+    MAX_BATCH_SIZE,
+)
 from repro.reasoning.enforce import EnforcementEngine
 from repro.reasoning.workunits import WorkUnit, generate_work_units
 
@@ -101,9 +106,9 @@ class TestAffinityRouting:
     def test_stealing_keeps_workers_busy(self):
         context = hub_context(num_hubs=1, spokes=4)
         units = [spoke_unit(0, s) for s in range(4)]
-        # Cost feedback off: all four units pin to one worker at enqueue
-        # time, so the other worker must steal to stay busy.
-        config = RuntimeConfig(workers=2, batch_size=2, affinity_cost_feedback=False)
+        # All four units pin to one worker at enqueue time, so the other
+        # worker must steal to stay busy.
+        config = RuntimeConfig(workers=2, batch_size=2)
         scheduler = Scheduler(units, config, context)
         got = []
         for wid in (0, 1, 1, 0):
@@ -111,22 +116,6 @@ class TestAffinityRouting:
         assert len(got) == 4
         assert len(scheduler) == 0
         assert scheduler.affinity_misses > 0
-
-    def test_cost_feedback_spills_oversized_group(self):
-        context = hub_context(num_hubs=1, spokes=4)
-        units = [spoke_unit(0, s) for s in range(4)]
-        # Cost feedback on (default): once the owner holds its fair share
-        # of the estimated cost, the rest of the hub's group spills to the
-        # global queue — the second worker serves it without stealing.
-        scheduler = Scheduler(units, RuntimeConfig(workers=2, batch_size=2), context)
-        assert scheduler.affinity_overflows > 0
-        got = []
-        for wid in (0, 1, 1, 0):
-            got.extend(scheduler.next_batch(wid))
-        assert len(got) == 4
-        assert len(scheduler) == 0
-        assert scheduler.affinity_misses == 0
-        assert {u.pivot_node() for u in got} == {u.pivot_node() for u in units}
 
     def test_fair_share_caps_batches(self):
         context = hub_context(num_hubs=1, spokes=4)
@@ -166,27 +155,36 @@ class TestAdaptiveBatching:
         assert scheduler.batch_size(0) == 16
 
     def test_growth_capped(self):
-        config = RuntimeConfig(workers=1, batch_size=4, max_batch_size=8)
+        config = RuntimeConfig(workers=1, batch_size=4)
         scheduler = Scheduler([], config, None)
         for _ in range(5):
             scheduler.observe(0, executed=64, delta_ops=0, seconds=0.01)
-        assert scheduler.batch_size(0) == 8
+        assert scheduler.batch_size(0) == MAX_BATCH_SIZE == 32
 
     def test_cap_never_below_initial_batch_size(self):
-        config = RuntimeConfig(workers=1, batch_size=16, max_batch_size=4)
-        assert config.batch_size_cap == 16
+        config = RuntimeConfig(workers=1, batch_size=48)
+        scheduler = Scheduler([], config, None)
+        scheduler.observe(0, executed=48, delta_ops=0, seconds=0.01)
+        assert scheduler.batch_size(0) == 48
+        assert scheduler.batch_adaptations == 0
 
     def test_shrinks_on_heavy_delta_payload(self):
-        config = RuntimeConfig(workers=1, batch_size=8, batch_delta_budget=10)
+        config = RuntimeConfig(workers=1, batch_size=8)
         scheduler = Scheduler([], config, None)
-        scheduler.observe(0, executed=8, delta_ops=50, seconds=0.01)
+        scheduler.observe(0, executed=8, delta_ops=BATCH_DELTA_BUDGET, seconds=0.01)
+        assert scheduler.batch_size(0) == 8
+        scheduler.observe(0, executed=8, delta_ops=BATCH_DELTA_BUDGET + 1, seconds=0.01)
         assert scheduler.batch_size(0) == 4
+        assert BATCH_DELTA_BUDGET == 64
 
     def test_shrinks_on_slow_round_trip(self):
-        config = RuntimeConfig(workers=1, batch_size=8, batch_target_seconds=0.1)
+        config = RuntimeConfig(workers=1, batch_size=8)
         scheduler = Scheduler([], config, None)
-        scheduler.observe(0, executed=8, delta_ops=0, seconds=0.5)
+        scheduler.observe(0, executed=8, delta_ops=0, seconds=BATCH_TARGET_SECONDS)
+        assert scheduler.batch_size(0) == 8
+        scheduler.observe(0, executed=8, delta_ops=0, seconds=0.26)
         assert scheduler.batch_size(0) == 4
+        assert BATCH_TARGET_SECONDS == 0.25
 
     def test_starved_batch_does_not_grow(self):
         config = RuntimeConfig(workers=1, batch_size=8)
@@ -325,10 +323,16 @@ class TestOutcomeAccounting:
         assert outcome.broadcast_volume > 0
         assert outcome.affinity_hits > 0
         assert len(outcome.batch_sizes) == 2
-        ablation = par_sat(sigma, RuntimeConfig(workers=2).without_affinity())
-        assert ablation.outcome.affinity_hits == 0
-        assert ablation.outcome.batch_sizes == [6, 6]
-        assert ablation.satisfiable == result.satisfiable
+        for config in (
+            RuntimeConfig(workers=2).without_affinity(),
+            # The bare switch is the whole ablation: batches stay fixed.
+            RuntimeConfig(workers=2, affinity=False),
+        ):
+            ablation = par_sat(sigma, config)
+            assert ablation.outcome.affinity_hits == 0
+            assert ablation.outcome.batch_sizes == [6, 6]
+            assert ablation.outcome.batch_adaptations == 0
+            assert ablation.satisfiable == result.satisfiable
 
     def test_process_affinity_reduces_broadcast(self):
         sigma = delta_hub_workload(
