@@ -3,17 +3,20 @@
 import gc
 import importlib.util
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from repro.bench.harness import (
+    PER_RULE_UNITS,
     Experiment,
     Series,
     implication_workload,
     mined_implication_workload,
     mined_workload,
     parallel_sat_workload,
+    per_rule_config,
     sequential_virtual_seconds,
     synthetic_imp_workload,
     synthetic_sat_workload,
@@ -138,6 +141,39 @@ class TestExperimentSmoke:
         assert len(ALL_EXPERIMENTS) == 13  # Fig 5 + Fig 6(a)-(l)
         results = run_all(["fig5"])
         assert results[0].experiment_id == "fig5"
+
+
+class TestPerRuleUnits:
+    """The Fig. 6 series reproduce the paper's per-rule units ``(Q[z], φ)``,
+    not the library's default grouped units."""
+
+    def test_per_rule_config_only_turns_off_grouping(self):
+        assert RuntimeConfig().use_ruleset_plan
+        config = per_rule_config(workers=3, ttl_seconds=1.0)
+        expected = RuntimeConfig(workers=3, ttl_seconds=1.0)
+        assert config == replace(expected, use_ruleset_plan=False)
+
+    @pytest.mark.parametrize(
+        "figure, runners",
+        [
+            ("fig6k_sat_varying_ttl", ("par_sat", "par_sat_np")),
+            ("fig6l_imp_varying_ttl", ("par_imp", "par_imp_np")),
+        ],
+    )
+    def test_parallel_series_run_per_rule_units(self, monkeypatch, figure, runners):
+        from repro.bench import experiments
+
+        seen = []
+        for name in runners:
+            def recording(*args, _run=getattr(experiments, name), **kwargs):
+                seen.extend(a for a in args if isinstance(a, RuntimeConfig))
+                return _run(*args, **kwargs)
+
+            monkeypatch.setattr(experiments, name, recording)
+        experiment = getattr(experiments, figure)(ttl_sweep=(2.0,))
+        assert len(seen) == len(runners)
+        assert not any(config.use_ruleset_plan for config in seen)
+        assert PER_RULE_UNITS in experiment.notes
 
 
 class TestBenchParallelMemory:

@@ -116,6 +116,8 @@ class TestConfigValidation:
             dict(respawn_backoff_seconds=-0.1),
             dict(min_live_workers=-1),
             dict(min_live_workers=3),  # exceeds workers=2
+            dict(batch_timeout_seconds=-1.0),
+            dict(start_method="thread"),  # not a multiprocessing method
         ],
     )
     def test_bad_supervision_knobs_rejected(self, kwargs):

@@ -43,6 +43,11 @@ class TestRuntimeConfig:
         with pytest.raises(RuntimeConfigError):
             RuntimeConfig(batch_size=0)
 
+    def test_invalid_fragments(self):
+        with pytest.raises(RuntimeConfigError):
+            RuntimeConfig(fragments=0)
+        assert RuntimeConfig(fragments=None).fragments is None
+
     def test_config_errors_are_value_errors(self):
         # Clear ValueErrors, catchable without importing the hierarchy.
         with pytest.raises(ValueError) as exc_info:

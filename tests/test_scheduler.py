@@ -124,6 +124,18 @@ class TestAffinityRouting:
         # 4 units over 4 alive workers: nobody may take more than 1.
         assert len(scheduler.next_batch(0)) == 1
 
+    def test_bare_scheduler_routes_fifo_under_fair_share_cap(self):
+        units = [spoke_unit(0, s) for s in range(4)]
+        # No context: nothing pins, but the affinity switch still trims
+        # each batch to the worker's share of the remaining queue.
+        scheduler = Scheduler(units, RuntimeConfig(workers=2, batch_size=6), None)
+        assert not scheduler.affinity
+        assert scheduler.next_batch(0) == units[:2]
+        assert scheduler.next_batch(1) == units[2:3]
+        assert scheduler.affinity_hits == scheduler.affinity_misses == 0
+        config = RuntimeConfig(workers=2, batch_size=6, affinity=False)
+        assert Scheduler(units, config, None).next_batch(0) == units
+
     def test_ablation_is_plain_fifo(self):
         context = hub_context()
         units = [spoke_unit(h, s) for h in range(2) for s in range(3)]
@@ -167,6 +179,18 @@ class TestAdaptiveBatching:
         scheduler.observe(0, executed=48, delta_ops=0, seconds=0.01)
         assert scheduler.batch_size(0) == 48
         assert scheduler.batch_adaptations == 0
+
+    def test_initial_size_above_cap_bounds_regrowth(self):
+        config = RuntimeConfig(workers=1, batch_size=48)
+        scheduler = Scheduler([], config, None)
+        scheduler.observe(0, executed=48, delta_ops=BATCH_DELTA_BUDGET + 1, seconds=0.01)
+        assert scheduler.batch_size(0) == 24
+        for _ in range(3):
+            scheduler.observe(0, executed=48, delta_ops=0, seconds=0.01)
+        # Regrowth stops at the configured size, not at MAX_BATCH_SIZE
+        # and not at twice the configured size.
+        assert scheduler.batch_size(0) == 48 > MAX_BATCH_SIZE
+        assert scheduler.batch_adaptations == 2
 
     def test_shrinks_on_heavy_delta_payload(self):
         config = RuntimeConfig(workers=1, batch_size=8)
